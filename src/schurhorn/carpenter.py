@@ -32,7 +32,7 @@ import numpy as np
 
 from .linalg import INTEGER_TOL, STRUCTURAL_TOL, projection_entry_excess, projection_residual
 from .majorization import verify_concentration
-from .schur import InfeasibleDiagonalError, carpenter_finite, conjugate_to_diagonal
+from .schur import InfeasibleDiagonalError, _mix_rows_to, carpenter_finite
 from .sequences import (
     SequenceSpec,
     SideSums,
@@ -157,18 +157,6 @@ class TruncatedProjection:
     diagonal_map: tuple[int | None, ...]
     covered: tuple[int, ...]
     residual_bound: float
-
-
-def _conjugate_positions_to(a: np.ndarray, positions, target, tol: float = 1e-9) -> np.ndarray:
-    """Conjugate ``a`` by a unitary supported on ``positions`` so that the
-    diagonal there becomes ``target`` (requires ``target`` majorised by the
-    current diagonal at those positions); all other diagonal entries stay."""
-    idx = list(positions)
-    sub = a[np.ix_(idx, idx)]
-    _, w = conjugate_to_diagonal(sub, target, tol)
-    v = np.eye(a.shape[0], dtype=np.complex128)
-    v[np.ix_(idx, idx)] = w
-    return v @ a @ v.conj().T
 
 
 class _SideStream:
@@ -300,7 +288,8 @@ def build_case_b(
             for offset in range(len(new_low_idx), grow):
                 bigger[d + offset, d + offset] = 1.0
             positions = [d - 1, *range(d, d + grow)]
-            matrix = _conjugate_positions_to(bigger, positions, step_diag, tol)
+            _mix_rows_to(bigger, positions, step_diag, tol)
+            matrix = bigger
             rows = rows[:-1] + [*new_low_idx, *new_high_idx, None]
         covered = tuple(sorted(i for i in rows if i is not None))
         results.append(
@@ -562,9 +551,7 @@ def build_case_a(
         exact_down = [blocks[k + 1][p][2] for p in down_parts[k + 1]]
         if not verify_concentration(exact_up, pushed_up, exact_down, pushed_down, tol=1e-8):
             raise RuntimeError("block repair hypotheses failed; construction is inconsistent")
-        matrix = _conjugate_positions_to(
-            matrix, up_positions + down_positions, exact_up + exact_down, tol
-        )
+        _mix_rows_to(matrix, up_positions + down_positions, exact_up + exact_down, tol)
 
     diagonal_map: list[int] = []
     for block in blocks:

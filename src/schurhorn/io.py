@@ -1,7 +1,8 @@
 """JSON file formats for matrices, vectors, mixing plans, and sequences.
 
 All decoding errors raise :class:`FormatError` so callers (notably the CLI)
-can distinguish malformed input from numerical failure.  Formats:
+can distinguish malformed input from numerical failure; that includes numbers
+outside the float range.  Files are written as compact JSON.  Formats:
 
 * matrix: ``{"n": int, "data": [[re, im], ...]}`` with ``n**2`` row-major
   entries;
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -78,7 +80,7 @@ def _read_json(path) -> object:
 
 
 def _write_json(path, obj) -> None:
-    Path(path).write_text(json.dumps(obj, indent=2) + "\n")
+    Path(path).write_text(json.dumps(obj) + "\n")
 
 
 def _require(obj, key, kind, context):
@@ -86,9 +88,12 @@ def _require(obj, key, kind, context):
         raise FormatError(f"{context}: missing key {key!r}")
     value = obj[key]
     if kind is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
+        if not _is_number(value):
             raise FormatError(f"{context}: key {key!r} must be a number")
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError as exc:
+            raise FormatError(f"{context}: key {key!r} is out of float range") from exc
     if kind is int:
         if isinstance(value, bool) or not isinstance(value, int):
             raise FormatError(f"{context}: key {key!r} must be an integer")
@@ -98,12 +103,34 @@ def _require(obj, key, kind, context):
     return value
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _all_numbers(values) -> bool:
+    """Whether every value is an int or float (bools excluded), by one scan of their types."""
+    return all(
+        issubclass(k, (int, float)) and not issubclass(k, bool) for k in set(map(type, values))
+    )
+
+
+def _finite_floats(values, count: int, context: str) -> np.ndarray:
+    """float64 array of ``count`` type-checked numbers; out-of-range or non-finite raises."""
+    try:
+        out = np.fromiter(values, np.float64, count)
+    except OverflowError as exc:
+        raise FormatError(f"{context}: an entry is out of float range") from exc
+    if not np.all(np.isfinite(out)):
+        raise FormatError(f"{context}: entries must be finite")
+    return out
+
+
 def matrix_to_obj(m) -> dict:
     m = np.asarray(m, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise FormatError(f"expected a square matrix, got shape {m.shape}")
-    data = [[float(z.real), float(z.imag)] for z in m.reshape(-1)]
-    return {"n": int(m.shape[0]), "data": data}
+    flat = m.reshape(-1)
+    return {"n": int(m.shape[0]), "data": np.stack((flat.real, flat.imag), 1).tolist()}
 
 
 def matrix_from_obj(obj) -> np.ndarray:
@@ -111,37 +138,36 @@ def matrix_from_obj(obj) -> np.ndarray:
     data = _require(obj, "data", list, "matrix")
     if n < 0 or len(data) != n * n:
         raise FormatError(f"matrix: expected {n * n} entries, got {len(data)}")
-    flat = np.empty(n * n, dtype=np.complex128)
-    for pos, pair in enumerate(data):
-        if (
-            not isinstance(pair, (list, tuple))
+    if not (
+        all(issubclass(k, (list, tuple)) for k in set(map(type, data)))
+        and set(map(len, data)) <= {2}
+        and _all_numbers(chain.from_iterable(data))
+    ):
+        pos = next(
+            pos
+            for pos, pair in enumerate(data)
+            if not isinstance(pair, (list, tuple))
             or len(pair) != 2
-            or any(isinstance(c, bool) or not isinstance(c, (int, float)) for c in pair)
-        ):
-            raise FormatError(f"matrix: entry {pos} must be a [re, im] pair")
-        flat[pos] = complex(pair[0], pair[1])
-    if not np.all(np.isfinite(flat.real)) or not np.all(np.isfinite(flat.imag)):
-        raise FormatError("matrix: entries must be finite")
-    return flat.reshape(n, n)
+            or not all(map(_is_number, pair))
+        )
+        raise FormatError(f"matrix: entry {pos} must be a [re, im] pair")
+    flat = _finite_floats(chain.from_iterable(data), 2 * len(data), "matrix")
+    return flat.view(np.complex128).reshape(n, n)
 
 
 def vector_to_obj(v) -> dict:
     v = np.asarray(v, dtype=float)
     if v.ndim != 1:
         raise FormatError(f"expected a vector, got shape {v.shape}")
-    return {"values": [float(x) for x in v]}
+    return {"values": v.tolist()}
 
 
 def vector_from_obj(obj) -> np.ndarray:
     values = _require(obj, "values", list, "vector")
-    out = np.empty(len(values))
-    for pos, x in enumerate(values):
-        if isinstance(x, bool) or not isinstance(x, (int, float)):
-            raise FormatError(f"vector: entry {pos} must be a number")
-        out[pos] = float(x)
-    if not np.all(np.isfinite(out)):
-        raise FormatError("vector: entries must be finite")
-    return out
+    if not _all_numbers(values):
+        pos = next(pos for pos, x in enumerate(values) if not _is_number(x))
+        raise FormatError(f"vector: entry {pos} must be a number")
+    return _finite_floats(values, len(values), "vector")
 
 
 def plan_to_obj(plan: TTransformPlan) -> dict:
@@ -258,12 +284,12 @@ def spec_to_obj(spec: SequenceSpec) -> dict:
 def spec_from_obj(obj) -> SequenceSpec:
     prefix = _require(obj, "prefix", list, "sequence")
     for pos, x in enumerate(prefix):
-        if isinstance(x, bool) or not isinstance(x, (int, float)):
+        if not _is_number(x):
             raise FormatError(f"sequence: prefix entry {pos} must be a number")
     tail = _tail_from_obj(_require(obj, "tail", dict, "sequence"))
     try:
-        return SequenceSpec(tuple(float(x) for x in prefix), tail)
-    except ValueError as exc:
+        return SequenceSpec(tuple(prefix), tail)
+    except (ValueError, OverflowError) as exc:
         raise FormatError(f"sequence: {exc}") from exc
 
 

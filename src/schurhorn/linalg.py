@@ -2,25 +2,21 @@
 
 Matrices are plain numpy arrays with ``complex128`` entries.  Every routine
 treats its inputs as immutable and returns fresh arrays, so callers may pass
-views without worrying about aliasing.
+views without worrying about aliasing.  Eigenvalues come from LAPACK
+(``numpy.linalg.eigvalsh``) behind a Hermitian-input check.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 # Max-entry tolerance for structural predicates (Hermitian / unitary / projection).
 STRUCTURAL_TOL = 1e-10
-# Relative off-diagonal Frobenius tolerance for the Jacobi eigensolver.
-EIG_TOL = 1e-12
 # Tolerance for "is this sum an integer" decisions.  Must stay below 1/4 so the
 # nearest integer is unambiguous for the defect values that occur in practice.
 INTEGER_TOL = 1e-9
-
-_MAX_SWEEPS = 100
 
 
 class DimensionMismatchError(ValueError):
@@ -28,19 +24,18 @@ class DimensionMismatchError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative solver did not reach its tolerance within its sweep cap."""
+    """The LAPACK eigensolver failed to converge."""
 
 
 @dataclass(frozen=True)
 class ToleranceConfig:
-    """Bundle of the three tolerance knobs used across the package."""
+    """Bundle of the two tolerance knobs used across the package."""
 
     structural_tol: float = STRUCTURAL_TOL
-    eig_tol: float = EIG_TOL
     integer_tol: float = INTEGER_TOL
 
     def __post_init__(self):
-        if min(self.structural_tol, self.eig_tol, self.integer_tol) <= 0:
+        if min(self.structural_tol, self.integer_tol) <= 0:
             raise ValueError("tolerances must be strictly positive")
         if self.integer_tol >= 0.25:
             raise ValueError("integer_tol must stay below 1/4")
@@ -53,7 +48,7 @@ def as_matrix(a) -> np.ndarray:
         raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
     if m.shape[0] == 0:
         raise DimensionMismatchError("matrices must have dimension >= 1")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
     return m
 
@@ -84,7 +79,7 @@ def conjugate_by(u, a) -> np.ndarray:
 def hermitian_residual(a) -> float:
     """Max-entry norm of ``A - A*``."""
     a = as_matrix(a)
-    return float(np.max(np.abs(a - a.conj().T)))
+    return float(np.abs(a - a.conj().T).max())
 
 
 def unitary_residual(u) -> float:
@@ -127,67 +122,21 @@ def diagonal(a, tol: float = STRUCTURAL_TOL) -> np.ndarray:
     return d.real.copy()
 
 
-def _offdiag_frobenius(a: np.ndarray) -> float:
-    off = a - np.diag(np.diag(a))
-    return float(np.linalg.norm(off))
-
-
-def hermitian_eigenvalues(
-    a, tol: float = EIG_TOL, max_sweeps: int = _MAX_SWEEPS
-) -> np.ndarray:
+def hermitian_eigenvalues(a) -> np.ndarray:
     """Eigenvalues of a Hermitian matrix, sorted ascending.
 
-    Cyclic Jacobi sweeps with two-sided complex rotations; iteration stops once
-    the off-diagonal Frobenius norm drops to ``tol`` times the Frobenius norm
-    of the input.  Exceeding ``max_sweeps`` raises :class:`ConvergenceError`.
+    Checks the input is Hermitian (max-entry residual at most
+    ``STRUCTURAL_TOL``) and delegates to LAPACK through
+    ``numpy.linalg.eigvalsh``; a LAPACK failure raises
+    :class:`ConvergenceError`.
     """
     a = as_matrix(a)
     if hermitian_residual(a) > STRUCTURAL_TOL:
         raise ValueError("hermitian_eigenvalues requires a Hermitian input")
-    n = a.shape[0]
-    w = a.copy()
-    if n == 1:
-        return np.array([w[0, 0].real])
-    scale = float(np.linalg.norm(w))
-    if scale == 0.0:
-        return np.zeros(n)
-    thresh = tol * scale
-    # Rotating every entry above this keeps the final off-norm below thresh.
-    skip = thresh / (2.0 * n)
-    for _ in range(max_sweeps):
-        if _offdiag_frobenius(w) <= thresh:
-            d = np.diag(w).real
-            return np.sort(d)
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                b = w[p, q]
-                absb = abs(b)
-                if absb <= skip:
-                    continue
-                app = w[p, p].real
-                aqq = w[q, q].real
-                tau = (app - aqq) / (2.0 * absb)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(tau, 1.0))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                phase = b / absb
-                g = np.array(
-                    [[c, s * phase], [-s * phase.conjugate(), c]], dtype=np.complex128
-                )
-                idx = [p, q]
-                w[idx, :] = g @ w[idx, :]
-                w[:, idx] = w[:, idx] @ g.conj().T
-                # The rotation annihilates (p, q) exactly in real arithmetic.
-                w[p, q] = 0.0
-                w[q, p] = 0.0
-                w[p, p] = w[p, p].real
-                w[q, q] = w[q, q].real
-    if _offdiag_frobenius(w) <= thresh:
-        return np.sort(np.diag(w).real)
-    raise ConvergenceError(
-        f"Jacobi sweeps did not converge within {max_sweeps} sweeps "
-        f"(off-diagonal norm {_offdiag_frobenius(w):.3e}, target {thresh:.3e})"
-    )
+    try:
+        return np.linalg.eigvalsh(a)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"LAPACK eigensolver failed: {exc}") from exc
 
 
 def projection_entry_excess(p) -> float:

@@ -1,8 +1,9 @@
 """Constructive Schur-Horn machinery.
 
 Builds Hermitian matrices with a prescribed diagonal and spectrum by realising
-each T-transform of the diagonal as conjugation with an embedded 2x2 unitary,
-and derives the finite projection-with-given-diagonal construction from it.
+each T-transform of the diagonal as a 2x2 unitary rotation of two rows and
+columns, applied in place, and derives the finite projection-with-given-diagonal
+construction from it.
 """
 
 from __future__ import annotations
@@ -86,16 +87,44 @@ def kadison_rotation(a, t: float) -> np.ndarray:
     return np.array([[c * s, -co], [c * co, s]], dtype=np.complex128)
 
 
-def embed_rotation(u2, n: int, j: int, k: int) -> np.ndarray:
-    """Embed a 2x2 unitary at rows/columns (j, k) of the n x n identity."""
-    u2 = linalg.as_matrix(u2)
-    if u2.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 matrix, got {u2.shape}")
-    if not 0 <= j < k < n:
-        raise ValueError(f"need 0 <= j < k < n, got j={j}, k={k}, n={n}")
-    v = np.eye(n, dtype=np.complex128)
-    v[np.ix_([j, k], [j, k])] = u2
-    return v
+def _rotate(a: np.ndarray, u: np.ndarray | None, j: int, k: int, t: float) -> None:
+    """Mix diagonal entries ``j`` and ``k`` of ``a`` with weight ``t``, in place.
+
+    Rows and columns ``(j, k)`` of ``a`` are conjugated by the Kadison
+    rotation of their 2x2 block, and rows ``(j, k)`` of ``u`` (when given)
+    are multiplied by it; nothing else is touched, so a step costs O(n).
+    """
+    g = kadison_rotation(np.array([[a[j, j], a[j, k]], [a[k, j], a[k, k]]]), t)
+    if j > k:
+        # Reversing both the pair and the rotation's frame is the same step.
+        j, k, g = k, j, g[::-1, ::-1]
+    pair = slice(j, k + 1, k - j)  # rows j and k as a view, no fancy-index copies
+    a[pair] = g @ a[pair]
+    a[:, pair] = a[:, pair] @ g.conj().T
+    if u is not None:
+        u[pair] = g @ u[pair]
+
+
+def _mix_rows_to(a: np.ndarray, rows, x, tol: float, u: np.ndarray | None = None) -> None:
+    """Carry the diagonal of ``a`` at ``rows`` to ``x`` by a unitary conjugation, in place.
+
+    Requires ``x`` majorised by ``diag(a)[rows]``.  Each T-transform of the
+    decomposition rotates two of the ``rows`` (and the matching columns);
+    a final permutation among ``rows`` leaves ``a[rows[c], rows[c]] == x[c]``.
+    Diagonal entries outside ``rows`` keep their values.  When ``u`` is given,
+    its rows receive the same unitary from the left.
+    """
+    rows = np.asarray(rows)
+    y = linalg.diagonal(a)[rows]
+    plan = decompose_t_transforms(x, y, tol)  # raises MajorizationError if x not << y
+    frame = rows[list(plan.source_order)]
+    for tr in plan.transforms:
+        _rotate(a, u, frame[tr.j], frame[tr.k], tr.t)
+    src = frame[list(plan.placement)]
+    a[rows, :] = a[src, :]
+    a[:, rows] = a[:, src]
+    if u is not None:
+        u[rows, :] = u[src, :]
 
 
 def apply_t_transform_unitarily(a, tr: TTransform) -> tuple[np.ndarray, np.ndarray]:
@@ -105,44 +134,24 @@ def apply_t_transform_unitarily(a, tr: TTransform) -> tuple[np.ndarray, np.ndarr
     ``(tr.j, tr.k)``; the new diagonal is ``apply_t_transform(tr, diag(A))``
     and the spectrum is untouched.
     """
-    a = linalg.as_matrix(a)
+    a = linalg.as_matrix(a).copy()
     n = a.shape[0]
-    j, k = tr.j, tr.k
-    if j >= n or k >= n:
-        raise ValueError(f"positions ({j}, {k}) out of range for dimension {n}")
-    sub = a[np.ix_([j, k], [j, k])]
-    u2 = kadison_rotation(sub, tr.t)
+    if tr.j >= n or tr.k >= n:
+        raise ValueError(f"positions ({tr.j}, {tr.k}) out of range for dimension {n}")
     v = np.eye(n, dtype=np.complex128)
-    v[np.ix_([j, k], [j, k])] = u2
-    return v @ a @ v.conj().T, v
-
-
-def _permutation_matrix(dest: list[int] | tuple[int, ...]) -> np.ndarray:
-    n = len(dest)
-    q = np.zeros((n, n), dtype=np.complex128)
-    q[np.arange(n), list(dest)] = 1.0
-    return q
+    _rotate(a, v, tr.j, tr.k, tr.t)
+    return a, v
 
 
 def synthesize_hermitian(x, y, tol: float = 1e-9) -> SynthesisResult:
     """Hermitian matrix with diagonal ``x`` and spectrum ``y`` (needs x majorised by y).
 
-    Starts from ``diag(y)`` sorted non-increasingly, realises each step of the
-    T-transform decomposition as an embedded 2x2 rotation, and finishes with a
-    permutation aligning the diagonal with the caller's ordering of ``x``.
+    This is :func:`conjugate_to_diagonal` applied to ``diag(y)``: the
+    returned unitary satisfies ``matrix = unitary @ diag(y) @ unitary*``.
     """
     x = as_vector(x)
     y = as_vector(y)
-    plan = decompose_t_transforms(x, y, tol)  # raises MajorizationError if x not << y
-    n = x.size
-    a = np.diag(y[list(plan.source_order)]).astype(np.complex128)
-    u = _permutation_matrix(plan.source_order)
-    for tr in plan.transforms:
-        a, v = apply_t_transform_unitarily(a, tr)
-        u = v @ u
-    q = _permutation_matrix(plan.placement)
-    a = q @ a @ q.conj().T
-    u = q @ u
+    a, u = conjugate_to_diagonal(np.diag(y), x, tol)
     return SynthesisResult(a, u, x.copy(), y.copy())
 
 
@@ -150,25 +159,19 @@ def conjugate_to_diagonal(a, x, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarr
     """Unitarily push the diagonal of ``A`` to ``x`` without moving its spectrum.
 
     Requires ``x`` majorised by ``diag(A)``.  Returns ``(A', V)`` with
-    ``A' = V A V*``, ``diag(A') = x`` and the same spectrum as ``A`` (the same
-    rotation chain as :func:`synthesize_hermitian`, applied to ``A`` itself in
-    place of a diagonal matrix).
+    ``A' = V A V*``, ``diag(A') = x`` and the same spectrum as ``A``.  Each
+    step of the T-transform decomposition of ``x`` against ``diag(A)`` is
+    realised as a 2x2 rotation of two rows and columns, applied in place to a
+    copy of ``A``, so a chain of at most ``n - 1`` steps costs O(n^2).
     """
     a = linalg.as_matrix(a)
     if linalg.hermitian_residual(a) > 1e-8:
         raise ValueError("conjugate_to_diagonal requires a Hermitian input")
     x = as_vector(x)
-    y = linalg.diagonal(a)
-    plan = decompose_t_transforms(x, y, tol)  # raises MajorizationError if x not << diag(A)
-    v_total = _permutation_matrix(plan.source_order)
-    cur = v_total @ a @ v_total.conj().T
-    for tr in plan.transforms:
-        cur, v = apply_t_transform_unitarily(cur, tr)
-        v_total = v @ v_total
-    q = _permutation_matrix(plan.placement)
-    cur = q @ cur @ q.conj().T
-    v_total = q @ v_total
-    return cur, v_total
+    cur = a.copy()
+    v = np.eye(a.shape[0], dtype=np.complex128)
+    _mix_rows_to(cur, np.arange(a.shape[0]), x, tol, v)
+    return cur, v
 
 
 def carpenter_finite(a, tol: float = INTEGER_TOL) -> np.ndarray:
@@ -211,7 +214,6 @@ __all__ = [
     "SynthesisResult",
     "SchurCheckResult",
     "kadison_rotation",
-    "embed_rotation",
     "apply_t_transform_unitarily",
     "synthesize_hermitian",
     "conjugate_to_diagonal",

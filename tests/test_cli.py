@@ -201,6 +201,17 @@ def test_malformed_inputs_exit_two(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_oversized_json_integer_exits_two(tmp_path, capsys):
+    huge = "1" + "0" * 400
+    matrix = tmp_path / "m.json"
+    matrix.write_text('{"n": 1, "data": [[' + huge + ", 0]]}")
+    assert main(["verify", str(matrix)]) == 2
+    vector = tmp_path / "d.json"
+    vector.write_text('{"values": [' + huge + "]}")
+    assert main(["carpenter", str(vector), "--out", str(tmp_path / "p.json")]) == 2
+    capsys.readouterr()
+
+
 def test_budget_exhaustion_exits_three(tmp_path, capsys):
     spec = _write_spec(tmp_path / "spec.json", INTERLEAVE_SPEC)
     code = main(["obstruction", spec, "--build", str(tmp_path / "t.json"), "--budget", "2"])

@@ -51,10 +51,13 @@ HALF_INTERLEAVE = SequenceSpec(
 def test_matrix_round_trip(tmp_path):
     rng = np.random.default_rng(401)
     a = random_hermitian(rng, 5)
+    a[0, 0] = complex(-0.0, 5e-324)
     path = tmp_path / "m.json"
     save_matrix(path, a)
+    assert path.read_text().count("\n") == 1  # compact JSON
     back = load_matrix(path)
-    assert np.all(back == a)  # exact: floats survive JSON round trips
+    assert back.tobytes() == a.tobytes()  # exact: floats survive JSON round trips
+    assert matrix_from_obj(matrix_to_obj(np.zeros((0, 0)))).shape == (0, 0)
 
 
 def test_matrix_malformed():
@@ -68,6 +71,94 @@ def test_matrix_malformed():
         matrix_from_obj({"n": 1, "data": [[0.0]]})
     with pytest.raises(FormatError):
         matrix_to_obj(np.ones((2, 3)))
+
+
+def _reference_matrix_from_obj(obj):
+    """Entry-by-entry decoder: the accept/reject rules the matrix codec keeps."""
+    n, data = obj["n"], obj["data"]
+    if len(data) != n * n:
+        raise FormatError("count")
+    flat = np.empty(n * n, dtype=np.complex128)
+    for pos, pair in enumerate(data):
+        if (
+            not isinstance(pair, (list, tuple))
+            or len(pair) != 2
+            or any(isinstance(c, bool) or not isinstance(c, (int, float)) for c in pair)
+        ):
+            raise FormatError("pair")
+        try:
+            flat[pos] = complex(pair[0], pair[1])
+        except OverflowError as exc:
+            raise FormatError("range") from exc
+    if not np.all(np.isfinite(flat)):
+        raise FormatError("finite")
+    return flat.reshape(n, n)
+
+
+MATRIX_CASES = [
+    [[1.5, -2.0]],
+    [(1, 2)],
+    [[np.float64(0.25), 0]],
+    [[2**70 + 1, -3]],
+    [[10**308, 0]],
+    [[10**400, 0]],
+    [[0.0, 10**400]],
+    [[math.inf, 0.0]],
+    [[0.0, math.nan]],
+    [[-0.0, 5e-324]],
+    [[1.0, False]],
+    [[None, 0.0]],
+    [["1.5", 0.0]],
+    [[1.0, 2.0, 3.0]],
+    [[]],
+    [[[1.0], 0.0]],
+    [{"re": 1.0, "im": 0.0}],
+    [1.0],
+    ["ab"],
+    [np.int64(1), 0.0],
+    [[np.int64(1), 0.0]],
+]
+
+
+@pytest.mark.parametrize("data", MATRIX_CASES)
+def test_matrix_codec_accepts_what_the_reference_accepts(data):
+    obj = {"n": 1, "data": data}
+    try:
+        want = _reference_matrix_from_obj(obj)
+    except FormatError:
+        with pytest.raises(FormatError):
+            matrix_from_obj(obj)
+        return
+    got = matrix_from_obj(obj)
+    assert got.dtype == np.complex128
+    assert got.tobytes() == want.tobytes()
+
+
+HUGE = 10**400  # a JSON integer beyond the float range
+_TOWER_OBJ = {"n": 1, "data": [[1.0, 0.0]], "depth": 1, "covered": [1],
+              "residual_bound": 3.0, "permutation": [1]}
+
+OVERSIZED = [
+    (load_matrix, {"n": 1, "data": [[HUGE, 0]]}),
+    (load_vector, {"values": [0.5, HUGE]}),
+    (load_plan, {"transforms": [{"j": 1, "k": 2, "t": HUGE}],
+                 "source_order": [1, 2], "placement": [1, 2]}),
+    (load_sequence_spec, {"prefix": [HUGE], "tail": {"kind": "zero"}}),
+    (load_sequence_spec, {"prefix": [], "tail": {"kind": "geometric-low", "c": HUGE, "r": 0.5}}),
+    (load_sequence_spec, {"prefix": [], "tail": {
+        "kind": "divergent-low", "generator": "0.5",
+        "certificate": {"kind": "constant", "p": HUGE, "start": 1}}}),
+    (load_truncated_projection, dict(_TOWER_OBJ, residual_bound=HUGE)),
+    (load_truncated_projection, dict(_TOWER_OBJ, data=[[1.0, HUGE]])),
+]
+
+
+@pytest.mark.parametrize("loader,obj", OVERSIZED)
+def test_oversized_integer_is_a_format_error(tmp_path, loader, obj):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(obj))
+    with pytest.raises(FormatError):
+        loader(path)
 
 
 def test_vector_round_trip(tmp_path):

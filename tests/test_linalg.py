@@ -1,4 +1,4 @@
-"""Matrix helpers and the Jacobi eigensolver against independent oracles."""
+"""Matrix helpers and the eigensolver against independent oracles."""
 
 import numpy as np
 import pytest
@@ -19,8 +19,11 @@ from schurhorn import (
     matmul,
     projection_entry_excess,
     projection_residual,
+    save_matrix,
+    save_vector,
     unitary_residual,
 )
+from schurhorn.cli import main
 
 from conftest import random_hermitian, random_unitary
 
@@ -140,8 +143,21 @@ def test_eigenvalues_edge_cases():
     assert np.all(hermitian_eigenvalues(np.zeros((4, 4))) == 0.0)
     with pytest.raises(ValueError):
         hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_lapack_failure_is_a_convergence_error(tmp_path, monkeypatch, capsys):
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    a = np.array([[2.0, 1.0], [1.0, 2.0]])
     with pytest.raises(ConvergenceError):
-        hermitian_eigenvalues(np.array([[2.0, 1.0], [1.0, 2.0]]), max_sweeps=0)
+        hermitian_eigenvalues(a)
+    save_matrix(tmp_path / "a.json", a)
+    save_vector(tmp_path / "y.json", np.array([3.0, 1.0]))
+    code = main(["verify", str(tmp_path / "a.json"), "--spectrum", str(tmp_path / "y.json")])
+    capsys.readouterr()
+    assert code == 3
 
 
 def test_diagonal_rejects_imaginary_residue():

@@ -11,7 +11,7 @@ from schurhorn import (
     apply_t_transform_unitarily,
     carpenter_finite,
     conjugate_to_diagonal,
-    embed_rotation,
+    decompose_t_transforms,
     hermitian_eigenvalues,
     hermitian_residual,
     kadison_rotation,
@@ -61,15 +61,6 @@ def test_kadison_rotation_validation():
         kadison_rotation(np.eye(2), 1.5)
     with pytest.raises(ValueError):
         kadison_rotation(np.array([[0.0, 1.0], [0.0, 0.0]]), 0.5)
-
-
-def test_embed_rotation_places_block():
-    u2 = kadison_rotation(np.array([[1.0, 0.5], [0.5, 0.0]]), 0.3)
-    v = embed_rotation(u2, 5, 1, 3)
-    assert unitary_residual(v) <= 1e-12
-    assert np.all(v[np.ix_([0, 2, 4], [0, 2, 4])] == np.eye(3))
-    with pytest.raises(ValueError):
-        embed_rotation(u2, 5, 3, 1)
 
 
 def test_apply_t_transform_unitarily_moves_diagonal_only():
@@ -124,6 +115,56 @@ def test_conjugate_to_diagonal_on_non_diagonal_input():
         assert np.max(np.abs(np.diag(b).real - target)) <= 1e-9
         assert np.max(np.abs(v @ a @ v.conj().T - b)) <= 1e-9
         assert np.max(np.abs(np.linalg.eigvalsh(b) - np.linalg.eigvalsh(a))) <= 1e-8
+
+
+def _dense_chain(a, x):
+    """Reference chain: permute, conjugate by each embedded n x n rotation, permute.
+
+    Follows the plan of ``decompose_t_transforms`` with dense products
+    ``V A V*`` only, as the construction was first written down.
+    """
+    n = a.shape[0]
+    plan = decompose_t_transforms(x, np.diag(a).real)
+    src = np.eye(n, dtype=np.complex128)[list(plan.source_order)]
+    cur = src @ a @ src.conj().T
+    total = src
+    for tr in plan.transforms:
+        v = np.eye(n, dtype=np.complex128)
+        idx = np.ix_([tr.j, tr.k], [tr.j, tr.k])
+        v[idx] = kadison_rotation(cur[idx], tr.t)
+        cur = v @ cur @ v.conj().T
+        total = v @ total
+    place = np.eye(n, dtype=np.complex128)[list(plan.placement)]
+    return place @ cur @ place.conj().T, place @ total
+
+
+@pytest.mark.parametrize("n", [16, 64])
+def test_in_place_chain_matches_dense_reference(n):
+    rng = np.random.default_rng(307 + n)
+    x, y = random_majorized_pair(rng, n)
+    res = synthesize_hermitian(x, y)
+    want_a, want_u = _dense_chain(np.diag(y).astype(np.complex128), x)
+    assert np.max(np.abs(res.matrix - want_a)) <= 1e-12
+    assert np.max(np.abs(res.unitary - want_u)) <= 1e-12
+
+    a = random_hermitian(rng, n)
+    target = random_doubly_stochastic(rng, n) @ np.diag(a).real
+    b, v = conjugate_to_diagonal(a, target)
+    want_b, want_v = _dense_chain(a, target)
+    assert np.max(np.abs(b - want_b)) <= 1e-12
+    assert np.max(np.abs(v - want_v)) <= 1e-12
+
+
+def test_synthesis_at_n256_meets_criterion_3_bounds():
+    rng = np.random.default_rng(308)
+    x, y = random_majorized_pair(rng, 256)
+    res = synthesize_hermitian(x, y)
+    assert hermitian_residual(res.matrix) <= 1e-10
+    assert unitary_residual(res.unitary) <= 1e-12
+    assert np.max(np.abs(np.diag(res.matrix).real - x)) <= 1e-10
+    assert np.max(np.abs(np.linalg.eigvalsh(res.matrix) - np.sort(y))) <= 1e-8
+    rebuilt = res.unitary @ np.diag(y) @ res.unitary.conj().T
+    assert np.max(np.abs(rebuilt - res.matrix)) <= 1e-9
 
 
 def test_conjugate_to_diagonal_rejects_bad_target():
