@@ -120,8 +120,8 @@ def test_conjugate_to_diagonal_on_non_diagonal_input():
 def _dense_chain(a, x):
     """Reference chain: permute, conjugate by each embedded n x n rotation, permute.
 
-    Follows the plan of ``decompose_t_transforms`` with dense products
-    ``V A V*`` only, as the construction was first written down.
+    Follows the plan of ``decompose_t_transforms`` using dense products
+    ``V A V*`` only, independently of the in-place engine.
     """
     n = a.shape[0]
     plan = decompose_t_transforms(x, np.diag(a).real)
