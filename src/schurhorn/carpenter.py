@@ -41,7 +41,6 @@ from .sequences import (
     sequence_total,
     side_index_count,
     side_indices,
-    tail_side_sums,
     term,
 )
 
@@ -106,8 +105,10 @@ def _add_finite(base: float, side: float | None) -> float | None:
 
 
 def kadison_sums(spec: SequenceSpec, alpha: float = 0.5) -> SideSums:
-    """Side sums of the whole sequence (prefix plus tail) at ``alpha``."""
-    tail = tail_side_sums(spec.tail, alpha)
+    """Side sums of the whole sequence (prefix plus tail) at ``alpha`` in (0, 1)."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("threshold must lie strictly inside (0, 1)")
+    tail = spec.tail.side_sums(alpha)
     prefix_low = sum(v for v in spec.prefix if v <= alpha)
     prefix_high = sum(1.0 - v for v in spec.prefix if v > alpha)
     return SideSums(
@@ -123,8 +124,6 @@ def feasibility(
     spec: SequenceSpec, alpha: float = 0.5, integer_tol: float = INTEGER_TOL
 ) -> KadisonReport:
     """Decide which construction (if any) applies to the sequence at ``alpha``."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("threshold must lie strictly inside (0, 1)")
     sums = kadison_sums(spec, alpha)
     low, high = sums.low, sums.high
     if low is None or high is None or low == math.inf or high == math.inf:

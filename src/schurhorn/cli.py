@@ -23,7 +23,6 @@ import sys
 import numpy as np
 
 from .carpenter import (
-    BudgetExhaustedError,
     Feasibility,
     build_case_a,
     build_case_b,
@@ -41,7 +40,6 @@ from .io import (
     save_truncated_projection,
 )
 from .linalg import (
-    ConvergenceError,
     hermitian_eigenvalues,
     hermitian_residual,
     projection_entry_excess,
@@ -269,25 +267,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Exception class -> exit code.  The first match wins, so subclasses come first.
+_EXIT_CODES = (
+    (InfeasibleDiagonalError, 1),
+    (MajorizationError, 1),
+    (RuntimeError, 3),
+    (ValueError, 2),
+    (OSError, 2),
+)
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except InfeasibleDiagonalError as exc:
+    except tuple(cls for cls, _ in _EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except MajorizationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ConvergenceError, BudgetExhaustedError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

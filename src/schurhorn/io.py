@@ -21,6 +21,7 @@ import json
 import math
 from itertools import chain
 from pathlib import Path
+from typing import get_args
 
 import numpy as np
 
@@ -28,8 +29,6 @@ from .carpenter import TruncatedProjection
 from .majorization import TTransform, TTransformPlan
 from .sequences import (
     Certificate,
-    DivergentHigh,
-    DivergentLow,
     GeometricHigh,
     GeometricLow,
     Interleave,
@@ -208,59 +207,20 @@ def plan_from_obj(obj) -> TTransformPlan:
                           positions("placement", placement))
 
 
-_TAIL_KINDS = {
-    "zero": ZeroTail,
-    "one": OneTail,
-    "geometric-low": GeometricLow,
-    "geometric-high": GeometricHigh,
-    "interleave": Interleave,
-    "divergent-low": DivergentLow,
-    "divergent-high": DivergentHigh,
-}
-
-
-def _tail_to_obj(tail: TailRule) -> dict:
-    if isinstance(tail, ZeroTail):
-        return {"kind": "zero"}
-    if isinstance(tail, OneTail):
-        return {"kind": "one"}
-    if isinstance(tail, GeometricLow):
-        return {"kind": "geometric-low", "c": tail.c, "r": tail.r}
-    if isinstance(tail, GeometricHigh):
-        return {"kind": "geometric-high", "c": tail.c, "r": tail.r}
-    if isinstance(tail, Interleave):
-        return {
-            "kind": "interleave",
-            "parts": [_tail_to_obj(tail.first), _tail_to_obj(tail.second)],
-        }
-    if isinstance(tail, (DivergentLow, DivergentHigh)):
-        kind = "divergent-low" if isinstance(tail, DivergentLow) else "divergent-high"
-        return {
-            "kind": kind,
-            "generator": tail.generator,
-            "certificate": {
-                "kind": tail.certificate.kind,
-                "p": tail.certificate.p,
-                "start": tail.certificate.start,
-            },
-        }
-    raise FormatError(f"unknown tail rule {tail!r}")
+_TAIL_KINDS = {cls.kind: cls for cls in get_args(TailRule)}
 
 
 def _tail_from_obj(obj) -> TailRule:
     kind = _require(obj, "kind", str, "tail")
-    if kind not in _TAIL_KINDS:
+    cls = _TAIL_KINDS.get(kind)
+    if cls is None:
         raise FormatError(f"tail: unknown kind {kind!r}")
     try:
-        if kind == "zero":
-            return ZeroTail()
-        if kind == "one":
-            return OneTail()
-        if kind in ("geometric-low", "geometric-high"):
-            c = _require(obj, "c", float, "tail")
-            r = _require(obj, "r", float, "tail")
-            return _TAIL_KINDS[kind](c, r)
-        if kind == "interleave":
+        if cls in (ZeroTail, OneTail):
+            return cls()
+        if cls in (GeometricLow, GeometricHigh):
+            return cls(_require(obj, "c", float, "tail"), _require(obj, "r", float, "tail"))
+        if cls is Interleave:
             parts = _require(obj, "parts", list, "tail")
             if len(parts) != 2:
                 raise FormatError("tail: interleave needs exactly two parts")
@@ -272,13 +232,13 @@ def _tail_from_obj(obj) -> TailRule:
             _require(cert_obj, "p", float, "certificate"),
             _require(cert_obj, "start", int, "certificate"),
         )
-        return _TAIL_KINDS[kind](generator, cert)
+        return cls(generator, cert)
     except ValueError as exc:
         raise FormatError(f"tail: {exc}") from exc
 
 
 def spec_to_obj(spec: SequenceSpec) -> dict:
-    return {"prefix": list(spec.prefix), "tail": _tail_to_obj(spec.tail)}
+    return {"prefix": list(spec.prefix), "tail": spec.tail.to_obj()}
 
 
 def spec_from_obj(obj) -> SequenceSpec:

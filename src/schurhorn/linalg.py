@@ -8,8 +8,6 @@ views without worrying about aliasing.  Eigenvalues come from LAPACK
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 # Max-entry tolerance for structural predicates (Hermitian / unitary / projection).
@@ -25,20 +23,6 @@ class DimensionMismatchError(ValueError):
 
 class ConvergenceError(RuntimeError):
     """The LAPACK eigensolver failed to converge."""
-
-
-@dataclass(frozen=True)
-class ToleranceConfig:
-    """Bundle of the two tolerance knobs used across the package."""
-
-    structural_tol: float = STRUCTURAL_TOL
-    integer_tol: float = INTEGER_TOL
-
-    def __post_init__(self):
-        if min(self.structural_tol, self.integer_tol) <= 0:
-            raise ValueError("tolerances must be strictly positive")
-        if self.integer_tol >= 0.25:
-            raise ValueError("integer_tol must stay below 1/4")
 
 
 def as_matrix(a) -> np.ndarray:

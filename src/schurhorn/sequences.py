@@ -6,6 +6,13 @@ or are declared divergent with a checkable certificate, so that the threshold
 sums driving the projection constructions are genuine decisions rather than
 floating-point guesswork.
 
+Each tail rule is a class that carries its own behaviour, tagged with its
+wire name ``kind``: ``term(i)`` is tail position ``i`` (1-based),
+``complement()`` the rule of ``1 - term``, ``side_sums(alpha)`` the
+:class:`SideSums` at a threshold, ``side_count(alpha, low)`` the number of
+indices on one side (``inf``, or ``None`` when the rule cannot attribute
+them), ``total()`` the sum of all terms and ``to_obj()`` the wire form.
+
 Indices are 1-based throughout: ``term(spec, 1)`` is the first entry.
 """
 
@@ -84,45 +91,171 @@ class Certificate:
 
 
 @dataclass(frozen=True)
+class SideSums:
+    """Tail contributions split at a threshold.
+
+    ``low`` sums the terms that are at most the threshold; ``high`` sums
+    ``1 - term`` over the remaining ones.  Values are exact reals, ``inf``
+    when the side is certified divergent, or ``None`` when divergence is
+    certified in total but the certificate cannot attribute it to one side
+    at this threshold.
+    """
+
+    low: float | None
+    high: float | None
+    low_mass_infinite: bool
+    high_mass_infinite: bool
+    total_divergent: bool
+
+
+def _combine(a: float | None, b: float | None) -> float | None:
+    if a is None:
+        return None if b != math.inf else math.inf
+    if b is None:
+        return None if a != math.inf else math.inf
+    return a + b
+
+
+def _geometric_split(c: float, r: float, bound: float, inclusive: bool):
+    """Split ``c * r**j`` (``j >= 1``) at the first index ``i`` where it drops
+    below ``bound`` (or to it, unless ``inclusive``).
+
+    Returns ``i``, the sum of ``1 - c * r**j`` over ``j < i`` and the sum of
+    ``c * r**j`` over ``j >= i``, both in closed form.  The index starts from
+    the logarithmic estimate and is corrected with the same float comparison
+    a term-by-term scan makes, so it agrees with that scan.
+    """
+    if c == 0.0:
+        return 1, 0.0, 0.0
+
+    def above(j: int) -> bool:
+        v = c * r**j
+        return v >= bound if inclusive else v > bound
+
+    i = max(1, math.ceil((math.log(bound) - math.log(c)) / math.log(r)))
+    while i > 1 and not above(i - 1):
+        i -= 1
+    while above(i):
+        i += 1
+    head = (i - 1) - c * r * (1.0 - r ** (i - 1)) / (1.0 - r)
+    return i, head, c * r**i / (1.0 - r)
+
+
+@dataclass(frozen=True)
 class ZeroTail:
     """All tail terms are exactly 0."""
+
+    kind = "zero"
+
+    def term(self, i: int) -> float:
+        return 0.0
+
+    def complement(self) -> "OneTail":
+        return OneTail()
+
+    def side_sums(self, alpha: float) -> SideSums:
+        return SideSums(0.0, 0.0, False, False, False)
+
+    def side_count(self, alpha: float, low: bool) -> float | None:
+        return math.inf if low else 0
+
+    def total(self) -> float:
+        return 0.0
+
+    def to_obj(self) -> dict:
+        return {"kind": self.kind}
 
 
 @dataclass(frozen=True)
 class OneTail:
     """All tail terms are exactly 1."""
 
+    kind = "one"
+
+    def term(self, i: int) -> float:
+        return 1.0
+
+    def complement(self) -> ZeroTail:
+        return ZeroTail()
+
+    def side_sums(self, alpha: float) -> SideSums:
+        return SideSums(0.0, 0.0, False, False, False)
+
+    def side_count(self, alpha: float, low: bool) -> float | None:
+        return 0 if low else math.inf
+
+    def total(self) -> float:
+        return math.inf
+
+    def to_obj(self) -> dict:
+        return {"kind": self.kind}
+
 
 @dataclass(frozen=True)
-class GeometricLow:
+class _Geometric:
+    """Shared fields, validation and wire form of the two geometric rules."""
+
+    c: float
+    r: float
+
+    def __post_init__(self):
+        if not 0.0 < self.r < 1.0:
+            raise ValueError("geometric ratio must lie strictly inside (0, 1)")
+        if not 0.0 <= self.c:
+            raise ValueError("geometric scale must be non-negative")
+        if not self.c * self.r <= 1.0 + _BOUNDARY_FUZZ:
+            raise ValueError("first geometric term leaves [0, 1]")
+
+    def to_obj(self) -> dict:
+        return {"kind": self.kind, "c": self.c, "r": self.r}
+
+
+class GeometricLow(_Geometric):
     """Tail term i is ``c * r**i`` (decreasing to 0)."""
 
-    c: float
-    r: float
+    kind = "geometric-low"
 
-    def __post_init__(self):
-        if not 0.0 < self.r < 1.0:
-            raise ValueError("geometric ratio must lie strictly inside (0, 1)")
-        if self.c < 0.0:
-            raise ValueError("geometric scale must be non-negative")
-        if self.c * self.r > 1.0 + _BOUNDARY_FUZZ:
-            raise ValueError("first geometric term exceeds 1")
+    def term(self, i: int) -> float:
+        return self.c * self.r**i
+
+    def complement(self) -> "GeometricHigh":
+        return GeometricHigh(self.c, self.r)
+
+    def side_sums(self, alpha: float) -> SideSums:
+        _, high, low = _geometric_split(self.c, self.r, alpha, inclusive=False)
+        return SideSums(low, high, self.c > 0.0, False, False)
+
+    def side_count(self, alpha: float, low: bool) -> float | None:
+        if low:
+            return math.inf
+        return _geometric_split(self.c, self.r, alpha, inclusive=False)[0] - 1
+
+    def total(self) -> float:
+        return self.c * self.r / (1.0 - self.r)
 
 
-@dataclass(frozen=True)
-class GeometricHigh:
+class GeometricHigh(_Geometric):
     """Tail term i is ``1 - c * r**i`` (increasing to 1)."""
 
-    c: float
-    r: float
+    kind = "geometric-high"
 
-    def __post_init__(self):
-        if not 0.0 < self.r < 1.0:
-            raise ValueError("geometric ratio must lie strictly inside (0, 1)")
-        if self.c < 0.0:
-            raise ValueError("geometric scale must be non-negative")
-        if self.c * self.r > 1.0 + _BOUNDARY_FUZZ:
-            raise ValueError("first geometric term drops below 0")
+    def term(self, i: int) -> float:
+        return 1.0 - self.c * self.r**i
+
+    def complement(self) -> GeometricLow:
+        return GeometricLow(self.c, self.r)
+
+    def side_sums(self, alpha: float) -> SideSums:
+        _, low, high = _geometric_split(self.c, self.r, 1.0 - alpha, inclusive=True)
+        return SideSums(low, high, False, self.c > 0.0, False)
+
+    def side_count(self, alpha: float, low: bool) -> float | None:
+        if not low:
+            return math.inf
+        return _geometric_split(self.c, self.r, 1.0 - alpha, inclusive=True)[0] - 1
+
+    def total(self) -> float:
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -132,45 +265,140 @@ class Interleave:
     first: "TailRule"
     second: "TailRule"
 
+    kind = "interleave"
+
+    def term(self, i: int) -> float:
+        if i % 2 == 1:
+            return self.first.term((i + 1) // 2)
+        return self.second.term(i // 2)
+
+    def complement(self) -> "Interleave":
+        return Interleave(self.first.complement(), self.second.complement())
+
+    def side_sums(self, alpha: float) -> SideSums:
+        a = self.first.side_sums(alpha)
+        b = self.second.side_sums(alpha)
+        return SideSums(
+            _combine(a.low, b.low),
+            _combine(a.high, b.high),
+            a.low_mass_infinite or b.low_mass_infinite,
+            a.high_mass_infinite or b.high_mass_infinite,
+            a.total_divergent or b.total_divergent,
+        )
+
+    def side_count(self, alpha: float, low: bool) -> float | None:
+        a = self.first.side_count(alpha, low)
+        b = self.second.side_count(alpha, low)
+        if a is None or b is None:
+            return None
+        return a + b
+
+    def total(self) -> float:
+        return self.first.total() + self.second.total()
+
+    def to_obj(self) -> dict:
+        return {"kind": self.kind, "parts": [self.first.to_obj(), self.second.to_obj()]}
+
 
 @dataclass(frozen=True)
-class DivergentLow:
+class _Divergent:
+    """Shared fields, validation and wire form of the two divergent rules."""
+
+    generator: str
+    certificate: Certificate
+
+    def __post_init__(self):
+        for i in _SAMPLE_INDICES:
+            v = _eval_generator(self.generator, i)
+            if not -_BOUNDARY_FUZZ <= v <= 0.5 + _BOUNDARY_FUZZ:
+                raise TailCertificateError(
+                    f"{self.kind} generator must stay in [0, 1/2]; got {v!r} at i={i}"
+                )
+            if not v >= self.certificate.lower_bound(i) - _BOUNDARY_FUZZ:
+                raise TailCertificateError(
+                    f"sampled generator value {v!r} at i={i} violates the certificate"
+                )
+
+    def _g(self, i: int) -> float:
+        return min(0.5, max(0.0, _eval_generator(self.generator, i)))
+
+    def total(self) -> float:
+        return math.inf
+
+    def to_obj(self) -> dict:
+        cert = self.certificate
+        return {
+            "kind": self.kind,
+            "generator": self.generator,
+            "certificate": {"kind": cert.kind, "p": cert.p, "start": cert.start},
+        }
+
+
+class DivergentLow(_Divergent):
     """Tail term i is ``g(i)`` with ``g`` in [0, 1/2] and certified divergent sum."""
 
-    generator: str
-    certificate: Certificate
+    kind = "divergent-low"
 
-    def __post_init__(self):
-        for i in _SAMPLE_INDICES:
-            v = _eval_generator(self.generator, i)
-            if v < -_BOUNDARY_FUZZ or v > 0.5 + _BOUNDARY_FUZZ:
-                raise TailCertificateError(
-                    f"divergent-low generator must stay in [0, 1/2]; got {v!r} at i={i}"
-                )
-            if v < self.certificate.lower_bound(i) - _BOUNDARY_FUZZ:
-                raise TailCertificateError(
-                    f"sampled generator value {v!r} at i={i} violates the certificate"
-                )
+    def term(self, i: int) -> float:
+        return self._g(i)
+
+    def complement(self) -> "DivergentHigh":
+        return DivergentHigh(self.generator, self.certificate)
+
+    def side_sums(self, alpha: float) -> SideSums:
+        cert = self.certificate
+        if alpha >= 0.5:
+            # Every term sits in [0, 1/2], hence on the low side.
+            return SideSums(math.inf, 0.0, True, False, True)
+        if cert.kind == "constant" and cert.p > alpha:
+            low = 0.0
+            for i in range(1, cert.start):
+                v = self.term(i)
+                if v <= alpha:
+                    low += v
+            return SideSums(low, math.inf, False, True, True)
+        return SideSums(None, None, True, True, True)
+
+    def side_count(self, alpha: float, low: bool) -> float | None:
+        if alpha >= 0.5:
+            return math.inf if low else 0
+        return None
 
 
-@dataclass(frozen=True)
-class DivergentHigh:
+class DivergentHigh(_Divergent):
     """Tail term i is ``1 - g(i)`` with ``g`` in [0, 1/2] and certified divergent sum."""
 
-    generator: str
-    certificate: Certificate
+    kind = "divergent-high"
 
-    def __post_init__(self):
-        for i in _SAMPLE_INDICES:
-            v = _eval_generator(self.generator, i)
-            if v < -_BOUNDARY_FUZZ or v > 0.5 + _BOUNDARY_FUZZ:
-                raise TailCertificateError(
-                    f"divergent-high generator must stay in [0, 1/2]; got {v!r} at i={i}"
-                )
-            if v < self.certificate.lower_bound(i) - _BOUNDARY_FUZZ:
-                raise TailCertificateError(
-                    f"sampled generator value {v!r} at i={i} violates the certificate"
-                )
+    def term(self, i: int) -> float:
+        return 1.0 - self._g(i)
+
+    def complement(self) -> DivergentLow:
+        return DivergentLow(self.generator, self.certificate)
+
+    def side_sums(self, alpha: float) -> SideSums:
+        cert = self.certificate
+        if alpha < 0.5:
+            # Every term sits in [1/2, 1], hence strictly above alpha.
+            return SideSums(0.0, math.inf, False, True, True)
+        if cert.kind == "constant" and cert.p > 1.0 - alpha:
+            high = 0.0
+            for i in range(1, cert.start):
+                v = self.term(i)
+                if v > alpha:
+                    high += 1.0 - v
+            return SideSums(math.inf, high, True, False, True)
+        if alpha == 0.5 and all(
+            _eval_generator(self.generator, i) < 0.5 - 1e-9 for i in _SAMPLE_INDICES
+        ):
+            # Sampled generator stays below 1/2, so terms stay above alpha.
+            return SideSums(0.0, math.inf, False, True, True)
+        return SideSums(None, None, True, True, True)
+
+    def side_count(self, alpha: float, low: bool) -> float | None:
+        if alpha < 0.5:
+            return 0 if low else math.inf
+        return None
 
 
 TailRule = Union[
@@ -189,33 +417,10 @@ class SequenceSpec:
         clean = []
         for v in self.prefix:
             v = float(v)
-            if v < -_BOUNDARY_FUZZ or v > 1.0 + _BOUNDARY_FUZZ:
+            if not -_BOUNDARY_FUZZ <= v <= 1.0 + _BOUNDARY_FUZZ:
                 raise ValueError(f"prefix entry {v!r} lies outside [0, 1]")
             clean.append(min(1.0, max(0.0, v)))
         object.__setattr__(self, "prefix", tuple(clean))
-
-
-def tail_term(tail: TailRule, i: int) -> float:
-    """Value of tail position ``i`` (1-based)."""
-    if i < 1:
-        raise ValueError("tail positions are 1-based")
-    if isinstance(tail, ZeroTail):
-        return 0.0
-    if isinstance(tail, OneTail):
-        return 1.0
-    if isinstance(tail, GeometricLow):
-        return tail.c * tail.r**i
-    if isinstance(tail, GeometricHigh):
-        return 1.0 - tail.c * tail.r**i
-    if isinstance(tail, Interleave):
-        if i % 2 == 1:
-            return tail_term(tail.first, (i + 1) // 2)
-        return tail_term(tail.second, i // 2)
-    if isinstance(tail, DivergentLow):
-        return min(0.5, max(0.0, _eval_generator(tail.generator, i)))
-    if isinstance(tail, DivergentHigh):
-        return 1.0 - min(0.5, max(0.0, _eval_generator(tail.generator, i)))
-    raise TypeError(f"unknown tail rule {tail!r}")
 
 
 def term(spec: SequenceSpec, i: int) -> float:
@@ -224,186 +429,12 @@ def term(spec: SequenceSpec, i: int) -> float:
         raise ValueError("sequence positions are 1-based")
     if i <= len(spec.prefix):
         return spec.prefix[i - 1]
-    return tail_term(spec.tail, i - len(spec.prefix))
-
-
-def complement_tail(tail: TailRule) -> TailRule:
-    if isinstance(tail, ZeroTail):
-        return OneTail()
-    if isinstance(tail, OneTail):
-        return ZeroTail()
-    if isinstance(tail, GeometricLow):
-        return GeometricHigh(tail.c, tail.r)
-    if isinstance(tail, GeometricHigh):
-        return GeometricLow(tail.c, tail.r)
-    if isinstance(tail, Interleave):
-        return Interleave(complement_tail(tail.first), complement_tail(tail.second))
-    if isinstance(tail, DivergentLow):
-        return DivergentHigh(tail.generator, tail.certificate)
-    if isinstance(tail, DivergentHigh):
-        return DivergentLow(tail.generator, tail.certificate)
-    raise TypeError(f"unknown tail rule {tail!r}")
+    return spec.tail.term(i - len(spec.prefix))
 
 
 def complement(spec: SequenceSpec) -> SequenceSpec:
     """Termwise complement: position i holds ``1 - term(spec, i)``."""
-    return SequenceSpec(tuple(1.0 - v for v in spec.prefix), complement_tail(spec.tail))
-
-
-@dataclass(frozen=True)
-class SideSums:
-    """Tail contributions split at a threshold.
-
-    ``low`` sums the terms that are at most the threshold; ``high`` sums
-    ``1 - term`` over the remaining ones.  Values are exact reals, ``inf``
-    when the side is certified divergent, or ``None`` when divergence is
-    certified in total but the certificate cannot attribute it to one side
-    at this threshold.
-    """
-
-    low: float | None
-    high: float | None
-    low_mass_infinite: bool
-    high_mass_infinite: bool
-    total_divergent: bool
-
-
-def _geometric_low_split(c: float, r: float, alpha: float) -> tuple[int, float, float]:
-    """First all-low index plus the exact side sums for a ``c * r**i`` tail."""
-    if c == 0.0:
-        return 1, 0.0, 0.0
-    i = 1
-    high = 0.0
-    while c * r**i > alpha:
-        high += 1.0 - c * r**i
-        i += 1
-        if i > 10**6:  # pragma: no cover - alpha > 0 guarantees termination
-            raise RuntimeError("geometric split failed to terminate")
-    low = c * r**i / (1.0 - r)
-    return i, low, high
-
-
-def _geometric_high_split(c: float, r: float, alpha: float) -> tuple[int, float, float]:
-    """First all-high index plus the exact side sums for a ``1 - c * r**i`` tail."""
-    if c == 0.0:
-        return 1, 0.0, 0.0
-    i = 1
-    low = 0.0
-    while c * r**i >= 1.0 - alpha:
-        low += 1.0 - c * r**i
-        i += 1
-        if i > 10**6:  # pragma: no cover
-            raise RuntimeError("geometric split failed to terminate")
-    high = c * r**i / (1.0 - r)
-    return i, low, high
-
-
-def _combine(a: float | None, b: float | None) -> float | None:
-    if a is None:
-        return None if b != math.inf else math.inf
-    if b is None:
-        return None if a != math.inf else math.inf
-    return a + b
-
-
-def tail_side_sums(tail: TailRule, alpha: float) -> SideSums:
-    """Exact side sums of a tail rule at threshold ``alpha`` in (0, 1)."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("threshold must lie strictly inside (0, 1)")
-    if isinstance(tail, ZeroTail):
-        return SideSums(0.0, 0.0, False, False, False)
-    if isinstance(tail, OneTail):
-        return SideSums(0.0, 0.0, False, False, False)
-    if isinstance(tail, GeometricLow):
-        _, low, high = _geometric_low_split(tail.c, tail.r, alpha)
-        return SideSums(low, high, tail.c > 0.0, False, False)
-    if isinstance(tail, GeometricHigh):
-        _, low, high = _geometric_high_split(tail.c, tail.r, alpha)
-        return SideSums(low, high, False, tail.c > 0.0, False)
-    if isinstance(tail, Interleave):
-        a = tail_side_sums(tail.first, alpha)
-        b = tail_side_sums(tail.second, alpha)
-        return SideSums(
-            _combine(a.low, b.low),
-            _combine(a.high, b.high),
-            a.low_mass_infinite or b.low_mass_infinite,
-            a.high_mass_infinite or b.high_mass_infinite,
-            a.total_divergent or b.total_divergent,
-        )
-    if isinstance(tail, DivergentLow):
-        return _divergent_low_sums(tail, alpha)
-    if isinstance(tail, DivergentHigh):
-        return _divergent_high_sums(tail, alpha)
-    raise TypeError(f"unknown tail rule {tail!r}")
-
-
-def _divergent_low_sums(tail: DivergentLow, alpha: float) -> SideSums:
-    cert = tail.certificate
-    if alpha >= 0.5:
-        # Every term sits in [0, 1/2], hence on the low side.
-        return SideSums(math.inf, 0.0, True, False, True)
-    if cert.kind == "constant" and cert.p > alpha:
-        low = 0.0
-        for i in range(1, cert.start):
-            v = tail_term(tail, i)
-            if v <= alpha:
-                low += v
-        return SideSums(low, math.inf, False, True, True)
-    return SideSums(None, None, True, True, True)
-
-
-def _divergent_high_sums(tail: DivergentHigh, alpha: float) -> SideSums:
-    cert = tail.certificate
-    if alpha < 0.5:
-        # Every term sits in [1/2, 1], hence strictly above alpha.
-        return SideSums(0.0, math.inf, False, True, True)
-    if cert.kind == "constant" and cert.p > 1.0 - alpha:
-        high = 0.0
-        for i in range(1, cert.start):
-            v = tail_term(tail, i)
-            if v > alpha:
-                high += 1.0 - v
-        return SideSums(math.inf, high, True, False, True)
-    if alpha > 0.5 or all(
-        _eval_generator(tail.generator, i) < 0.5 - 1e-9 for i in _SAMPLE_INDICES
-    ):
-        if alpha == 0.5:
-            # Sampled generator stays below 1/2, so terms stay above alpha.
-            return SideSums(0.0, math.inf, False, True, True)
-    return SideSums(None, None, True, True, True)
-
-
-def _tail_side_count(tail: TailRule, alpha: float, low: bool) -> float | None:
-    """How many tail indices fall on the given side (may be ``inf``/unknown)."""
-    if isinstance(tail, ZeroTail):
-        return math.inf if low else 0
-    if isinstance(tail, OneTail):
-        return 0 if low else math.inf
-    if isinstance(tail, GeometricLow):
-        if tail.c == 0.0:
-            return math.inf if low else 0
-        i_star, _, _ = _geometric_low_split(tail.c, tail.r, alpha)
-        return math.inf if low else i_star - 1
-    if isinstance(tail, GeometricHigh):
-        if tail.c == 0.0:
-            return 0 if low else math.inf
-        j_star, _, _ = _geometric_high_split(tail.c, tail.r, alpha)
-        return j_star - 1 if low else math.inf
-    if isinstance(tail, Interleave):
-        a = _tail_side_count(tail.first, alpha, low)
-        b = _tail_side_count(tail.second, alpha, low)
-        if a is None or b is None:
-            return None
-        return a + b
-    if isinstance(tail, DivergentLow):
-        if alpha >= 0.5:
-            return math.inf if low else 0
-        return None
-    if isinstance(tail, DivergentHigh):
-        if alpha < 0.5:
-            return 0 if low else math.inf
-        return None
-    raise TypeError(f"unknown tail rule {tail!r}")
+    return SequenceSpec(tuple(1.0 - v for v in spec.prefix), spec.tail.complement())
 
 
 def side_index_count(spec: SequenceSpec, alpha: float, low: bool) -> float:
@@ -413,7 +444,7 @@ def side_index_count(spec: SequenceSpec, alpha: float, low: bool) -> float:
     count down (divergent rules at thresholds their certificate does not
     resolve).
     """
-    tail_count = _tail_side_count(spec.tail, alpha, low)
+    tail_count = spec.tail.side_count(alpha, low)
     if tail_count is None:
         raise TailCertificateError(
             "tail rule cannot attribute indices to a side at this threshold"
@@ -435,23 +466,6 @@ def side_indices(spec: SequenceSpec, alpha: float, low: bool):
         i += 1
 
 
-def tail_total(tail: TailRule) -> float:
-    """Sum of all tail terms (``inf`` when not summable)."""
-    if isinstance(tail, ZeroTail):
-        return 0.0
-    if isinstance(tail, OneTail):
-        return math.inf
-    if isinstance(tail, GeometricLow):
-        return tail.c * tail.r / (1.0 - tail.r)
-    if isinstance(tail, GeometricHigh):
-        return math.inf
-    if isinstance(tail, Interleave):
-        return tail_total(tail.first) + tail_total(tail.second)
-    if isinstance(tail, (DivergentLow, DivergentHigh)):
-        return math.inf
-    raise TypeError(f"unknown tail rule {tail!r}")
-
-
 def sequence_total(spec: SequenceSpec) -> float:
     """Sum of all sequence terms (``inf`` when not summable)."""
-    return float(sum(spec.prefix)) + tail_total(spec.tail)
+    return float(sum(spec.prefix)) + spec.tail.total()

@@ -5,7 +5,19 @@ import json
 import numpy as np
 import pytest
 
-from schurhorn import load_matrix, load_plan, load_truncated_projection, save_vector
+from schurhorn import (
+    BudgetExhaustedError,
+    ConvergenceError,
+    FormatError,
+    InfeasibleDiagonalError,
+    MajorizationError,
+    TailCertificateError,
+    load_matrix,
+    load_plan,
+    load_truncated_projection,
+    save_vector,
+)
+from schurhorn import cli
 from schurhorn.cli import main
 
 
@@ -210,6 +222,53 @@ def test_oversized_json_integer_exits_two(tmp_path, capsys):
     vector.write_text('{"values": [' + huge + "]}")
     assert main(["carpenter", str(vector), "--out", str(tmp_path / "p.json")]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"prefix": [NaN, 0.5], "tail": {"kind": "zero"}}',
+        '{"prefix": [], "tail": {"kind": "geometric-low", "c": NaN, "r": 0.5}}',
+    ],
+    ids=["prefix", "geometric-scale"],
+)
+def test_nan_spec_value_exits_two(tmp_path, capsys, text):
+    spec = tmp_path / "spec.json"
+    spec.write_text(text)
+    assert main(["obstruction", str(spec)]) == 2
+    capsys.readouterr()
+
+
+def test_slow_geometric_tail_classifies(tmp_path, capsys):
+    # The first term at most alpha is number ~4.6e7: found in closed form.
+    tail = {"kind": "geometric-low", "c": 1.0, "r": 0.9999999}
+    spec = _write_spec(tmp_path / "spec.json", {"prefix": [], "tail": tail})
+    assert main(["obstruction", spec, "--alpha", "0.01"]) in (0, 1)
+    assert _kv(capsys)["case"] in ("CaseB-feasible", "Infeasible")
+
+
+@pytest.mark.parametrize(
+    "exc, code",
+    [
+        (InfeasibleDiagonalError("non-integer sum", 0.5), 1),
+        (MajorizationError("not majorised"), 1),
+        (ConvergenceError("no convergence"), 3),
+        (BudgetExhaustedError("budget"), 3),
+        (RuntimeError("block repair failed"), 3),
+        (FormatError("bad file"), 2),
+        (TailCertificateError("bad certificate"), 2),
+        (ValueError("bad value"), 2),
+        (FileNotFoundError("missing"), 2),
+    ],
+    ids=lambda case: type(case).__name__ if isinstance(case, Exception) else str(case),
+)
+def test_exit_code_table(monkeypatch, capsys, exc, code):
+    def handler(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "_cmd_verify", handler)
+    assert main(["verify", "artifact.json"]) == code
+    assert capsys.readouterr().err == f"error: {exc}\n"
 
 
 def test_budget_exhaustion_exits_three(tmp_path, capsys):

@@ -8,11 +8,13 @@ import pytest
 
 from schurhorn import (
     Certificate,
+    DivergentHigh,
     DivergentLow,
     FormatError,
     GeometricHigh,
     GeometricLow,
     Interleave,
+    OneTail,
     SequenceSpec,
     ZeroTail,
     build_case_a,
@@ -199,14 +201,33 @@ def test_plan_malformed():
 
 
 def test_sequence_spec_round_trip(tmp_path):
-    specs = [
-        HALF_INTERLEAVE,
-        SequenceSpec((), ZeroTail()),
-        SequenceSpec((0.5,), DivergentLow("0.5/sqrt(i)", Certificate("harmonic", 0.5))),
+    # Every tail kind with the exact object it is written as.
+    geo_low = {"kind": "geometric-low", "c": 0.5, "r": 0.5}
+    geo_high = {"kind": "geometric-high", "c": 0.5, "r": 0.5}
+    cases = [
+        (HALF_INTERLEAVE,
+         {"prefix": [0.3, 1.0], "tail": {"kind": "interleave", "parts": [geo_low, geo_high]}}),
+        (SequenceSpec((), ZeroTail()), {"prefix": [], "tail": {"kind": "zero"}}),
+        (SequenceSpec((0.25,), OneTail()), {"prefix": [0.25], "tail": {"kind": "one"}}),
+        (SequenceSpec((), GeometricHigh(0.5, 0.5)), {"prefix": [], "tail": geo_high}),
+        (SequenceSpec((0.5,), DivergentLow("0.5/sqrt(i)", Certificate("harmonic", 0.5))),
+         {"prefix": [0.5], "tail": {
+             "kind": "divergent-low", "generator": "0.5/sqrt(i)",
+             "certificate": {"kind": "harmonic", "p": 0.5, "start": 1}}}),
+        (SequenceSpec((), DivergentHigh("0.25", Certificate("constant", 0.25, 3))),
+         {"prefix": [], "tail": {
+             "kind": "divergent-high", "generator": "0.25",
+             "certificate": {"kind": "constant", "p": 0.25, "start": 3}}}),
+        (SequenceSpec((0.0,), Interleave(Interleave(ZeroTail(), OneTail()),
+                                         GeometricLow(0.5, 0.5))),
+         {"prefix": [0.0], "tail": {"kind": "interleave", "parts": [
+             {"kind": "interleave", "parts": [{"kind": "zero"}, {"kind": "one"}]}, geo_low]}}),
     ]
-    for pos, spec in enumerate(specs):
+    for pos, (spec, obj) in enumerate(cases):
+        assert spec_to_obj(spec) == obj
         path = tmp_path / f"spec{pos}.json"
         save_sequence_spec(path, spec)
+        assert path.read_text() == json.dumps(obj) + "\n"  # key order included
         back = load_sequence_spec(path)
         assert back == spec
         for i in range(1, 9):

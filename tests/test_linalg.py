@@ -6,7 +6,6 @@ import pytest
 from schurhorn import (
     ConvergenceError,
     DimensionMismatchError,
-    ToleranceConfig,
     adjoint,
     as_matrix,
     conjugate_by,
@@ -183,11 +182,3 @@ def test_projection_entry_excess_flags_violations():
     bad = np.array([[0.9, 0.5], [0.5, 0.9]])
     assert projection_entry_excess(bad) > 0.1
 
-
-def test_tolerance_config_validation():
-    cfg = ToleranceConfig()
-    assert cfg.integer_tol < 0.25
-    with pytest.raises(ValueError):
-        ToleranceConfig(structural_tol=0.0)
-    with pytest.raises(ValueError):
-        ToleranceConfig(integer_tol=0.3)

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -17,13 +18,10 @@ from schurhorn import (
     TailCertificateError,
     ZeroTail,
     complement,
-    complement_tail,
+    kadison_sums,
     sequence_total,
     side_index_count,
     side_indices,
-    tail_side_sums,
-    tail_term,
-    tail_total,
     term,
 )
 
@@ -33,7 +31,7 @@ HALF_INTERLEAVE = Interleave(GeometricLow(1.0, 0.5), GeometricHigh(1.0, 0.5))
 def test_interleave_terms_frozen():
     # odd positions: 1/2^k low branch; even positions: 1 - 1/2^k high branch
     want = [0.5, 0.5, 0.25, 0.75, 0.125, 0.875, 0.0625, 0.9375]
-    got = [tail_term(HALF_INTERLEAVE, i) for i in range(1, 9)]
+    got = [HALF_INTERLEAVE.term(i) for i in range(1, 9)]
     assert got == want
 
 
@@ -46,8 +44,6 @@ def test_term_prefix_offset_and_validation():
     with pytest.raises(ValueError):
         term(spec, 0)
     with pytest.raises(ValueError):
-        tail_term(ZeroTail(), -1)
-    with pytest.raises(ValueError):
         SequenceSpec((1.2,), ZeroTail())
     with pytest.raises(ValueError):
         GeometricLow(1.0, 1.5)
@@ -55,6 +51,19 @@ def test_term_prefix_offset_and_validation():
         GeometricLow(-1.0, 0.5)
     with pytest.raises(ValueError):
         GeometricLow(4.0, 0.5)  # first term would be 2
+
+
+def test_nan_values_are_rejected():
+    with pytest.raises(ValueError):
+        SequenceSpec((math.nan, 0.5), ZeroTail())
+    for cls in (GeometricLow, GeometricHigh):
+        with pytest.raises(ValueError):
+            cls(math.nan, 0.5)
+        with pytest.raises(ValueError):
+            cls(0.5, math.nan)
+    for cls in (DivergentLow, DivergentHigh):
+        with pytest.raises(TailCertificateError):
+            cls("1e308*10 - 1e308*10", Certificate("harmonic", 0.5))  # inf - inf
 
 
 def test_complement_round_trip():
@@ -65,31 +74,86 @@ def test_complement_round_trip():
     back = complement(comp)
     for i in range(1, 12):
         assert term(back, i) == term(spec, i)
-    assert complement_tail(ZeroTail()) == OneTail()
-    assert complement_tail(GeometricHigh(1.0, 0.5)) == GeometricLow(1.0, 0.5)
+    assert ZeroTail().complement() == OneTail()
+    assert GeometricHigh(1.0, 0.5).complement() == GeometricLow(1.0, 0.5)
 
 
 def test_geometric_low_side_sums_frozen():
     # terms 1/2, 1/4, ...; at alpha = 0.5 every term is low: sum = 1
-    s = tail_side_sums(GeometricLow(1.0, 0.5), 0.5)
+    s = GeometricLow(1.0, 0.5).side_sums(0.5)
     assert (s.low, s.high) == (1.0, 0.0)
     assert s.low_mass_infinite and not s.high_mass_infinite
     # at alpha = 0.2 the first two terms (1/2, 1/4) are high: high = 0.5 + 0.75
-    s = tail_side_sums(GeometricLow(1.0, 0.5), 0.2)
+    s = GeometricLow(1.0, 0.5).side_sums(0.2)
     assert s.low == pytest.approx(0.25, abs=1e-15)  # 1/8 + 1/16 + ... = 1/4
     assert s.high == pytest.approx(1.25, abs=1e-15)
 
 
 def test_geometric_high_side_sums_frozen():
     # terms 1/2, 3/4, 7/8, ...; at alpha = 0.5 the first term (exactly 0.5) is low
-    s = tail_side_sums(GeometricHigh(1.0, 0.5), 0.5)
+    s = GeometricHigh(1.0, 0.5).side_sums(0.5)
     assert s.low == pytest.approx(0.5, abs=0)
     assert s.high == pytest.approx(0.5, abs=0)  # sum of 1/4, 1/8, ...
     assert s.high_mass_infinite and not s.low_mass_infinite
 
 
+def _mp_scan(c, r, bound, inclusive):
+    """Term-by-term scan of ``c * r**j`` in 50-digit arithmetic: first index
+    not above ``bound``, sum of ``1 - term`` before it, sum of terms from it on."""
+    with mpmath.workdps(50):
+        c, r, bound = mpmath.mpf(c), mpmath.mpf(r), mpmath.mpf(bound)
+        i, v, head = 1, c * r, mpmath.mpf(0)
+        while v >= bound if inclusive else v > bound:
+            head += 1 - v
+            i, v = i + 1, v * r
+        return i, float(head), float(v / (1 - r))
+
+
+@pytest.mark.parametrize(
+    "c, r", [(c, r) for c in (0.0, 0.3, 1.0, 2.0) for r in (0.5, 0.9, 0.99, 0.999) if c * r <= 1]
+)
+@pytest.mark.parametrize("alpha", [0.01, 0.125, 0.3, 0.5, 0.875])
+def test_geometric_split_matches_exact_scan(c, r, alpha):
+    i, high, low = _mp_scan(c, r, alpha, inclusive=False)
+    s = GeometricLow(c, r).side_sums(alpha)
+    assert GeometricLow(c, r).side_count(alpha, low=False) == i - 1
+    assert s.low == pytest.approx(low, rel=1e-12, abs=1e-15)
+    assert s.high == pytest.approx(high, rel=1e-12)
+    # 1 - c*r**j <= alpha exactly when c*r**j >= 1 - alpha; the code compares with
+    # the float 1 - alpha, and no term on this grid falls between the two.
+    j, low, high = _mp_scan(c, r, 1 - mpmath.mpf(alpha), inclusive=True)
+    s = GeometricHigh(c, r).side_sums(alpha)
+    assert GeometricHigh(c, r).side_count(alpha, low=True) == j - 1
+    assert s.low == pytest.approx(low, rel=1e-12)
+    assert s.high == pytest.approx(high, rel=1e-12, abs=1e-15)
+
+
+def test_geometric_split_exact_boundary_hits():
+    # c*r**3 == alpha exactly: the third term is low, the first two high.
+    s = GeometricLow(1.0, 0.5).side_sums(0.125)
+    assert GeometricLow(1.0, 0.5).side_count(0.125, low=False) == 2
+    assert (s.low, s.high) == (0.25, 1.25)
+    # 1 - r**3 == alpha exactly: the first three terms are low.
+    s = GeometricHigh(1.0, 0.5).side_sums(0.875)
+    assert GeometricHigh(1.0, 0.5).side_count(0.875, low=True) == 3
+    assert (s.low, s.high) == (2.125, 0.125)  # 1/2 + 3/4 + 7/8; 1/16 + 1/32 + ...
+
+
+def test_slow_geometric_split_is_closed_form():
+    tail = GeometricLow(1.0, 0.9999999)
+    i = tail.side_count(0.01, low=False) + 1
+    with mpmath.workdps(50):
+        c, r = mpmath.mpf(1.0), mpmath.mpf(0.9999999)
+        assert c * r ** (i - 1) > 0.01 >= c * r**i
+        head = (i - 1) - c * r * (1 - r ** (i - 1)) / (1 - r)
+        low, high = float(c * r**i / (1 - r)), float(head)
+    s = tail.side_sums(0.01)
+    assert s.low == pytest.approx(low, rel=1e-9)
+    assert s.high == pytest.approx(high, rel=1e-9)
+
+
 def test_interleave_side_sums_combine():
-    s = tail_side_sums(HALF_INTERLEAVE, 0.5)
+    s = HALF_INTERLEAVE.side_sums(0.5)
     assert s.low == pytest.approx(1.5, abs=0)  # 1.0 from low branch + 0.5 boundary
     assert s.high == pytest.approx(0.5, abs=0)
     assert s.low_mass_infinite and s.high_mass_infinite
@@ -98,26 +162,25 @@ def test_interleave_side_sums_combine():
 
 def test_trivial_tails_side_sums():
     for tail in (ZeroTail(), OneTail()):
-        s = tail_side_sums(tail, 0.3)
+        s = tail.side_sums(0.3)
         assert (s.low, s.high) == (0.0, 0.0)
-    with pytest.raises(ValueError):
-        tail_side_sums(ZeroTail(), 0.0)
-    with pytest.raises(ValueError):
-        tail_side_sums(ZeroTail(), 1.0)
+    for alpha in (0.0, 1.0, math.nan):
+        with pytest.raises(ValueError):
+            kadison_sums(SequenceSpec((), ZeroTail()), alpha)
 
 
 def test_divergent_low_attribution():
     tail = DivergentLow("0.25", Certificate("constant", 0.25))
     # alpha >= 1/2: all terms low, low side divergent
-    s = tail_side_sums(tail, 0.5)
+    s = tail.side_sums(0.5)
     assert s.low == math.inf and s.high == 0.0
     assert s.total_divergent
     # constant certificate p > alpha: all terms >= p land high
-    s = tail_side_sums(tail, 0.1)
+    s = tail.side_sums(0.1)
     assert s.low == 0.0 and s.high == math.inf
     # harmonic certificate cannot attribute below 1/2
     h = DivergentLow("0.5/i", Certificate("harmonic", 0.5))
-    s = tail_side_sums(h, 0.25)
+    s = h.side_sums(0.25)
     assert s.low is None and s.high is None
     assert s.total_divergent
 
@@ -125,17 +188,17 @@ def test_divergent_low_attribution():
 def test_divergent_high_attribution():
     # certificate margin p > 1 - alpha pins the terms (1 - g <= 1 - p < alpha) low
     strong = DivergentHigh("0.4", Certificate("constant", 0.4))
-    s = tail_side_sums(strong, 0.7)
+    s = strong.side_sums(0.7)
     assert s.low == math.inf and s.high == 0.0
     weak = DivergentHigh("0.25", Certificate("constant", 0.25))
     # alpha < 1/2: all terms in [1/2, 1] sit high
-    s = tail_side_sums(weak, 0.3)
+    s = weak.side_sums(0.3)
     assert s.low == 0.0 and s.high == math.inf
     # alpha = 1/2 with terms bounded away from 1/2: still all high
-    s = tail_side_sums(weak, 0.5)
+    s = weak.side_sums(0.5)
     assert s.low == 0.0 and s.high == math.inf
     # no certificate margin at alpha = 0.7 (p = 0.25 <= 0.3): unattributed
-    s = tail_side_sums(weak, 0.7)
+    s = weak.side_sums(0.7)
     assert s.low is None and s.high is None
 
 
@@ -154,10 +217,10 @@ def test_side_index_count_and_iteration():
 
 
 def test_totals():
-    assert tail_total(ZeroTail()) == 0.0
-    assert tail_total(OneTail()) == math.inf
-    assert tail_total(GeometricLow(1.0, 0.5)) == 1.0
-    assert tail_total(GeometricHigh(1.0, 0.5)) == math.inf
+    assert ZeroTail().total() == 0.0
+    assert OneTail().total() == math.inf
+    assert GeometricLow(1.0, 0.5).total() == 1.0
+    assert GeometricHigh(1.0, 0.5).total() == math.inf
     assert sequence_total(SequenceSpec((0.5, 0.25), GeometricLow(0.5, 0.5))) == 1.25
     assert sequence_total(SequenceSpec((1.0,), HALF_INTERLEAVE)) == math.inf
 
@@ -182,12 +245,12 @@ def test_certificate_validation():
         DivergentLow("1/(i-1)", Certificate("constant", 0.1))
     # a valid harmonic witness passes
     tail = DivergentLow("0.5/sqrt(i)", Certificate("harmonic", 0.5))
-    assert tail_term(tail, 4) == 0.25
+    assert tail.term(4) == 0.25
 
 
 def test_divergent_terms_clip_to_half():
     tail = DivergentLow("0.5", Certificate("constant", 0.5))
-    assert tail_term(tail, 10) == 0.5
+    assert tail.term(10) == 0.5
     high = DivergentHigh("0.5/i", Certificate("harmonic", 0.5))
-    assert tail_term(high, 1) == 0.5
-    assert tail_term(high, 5) == pytest.approx(0.9, abs=1e-15)
+    assert high.term(1) == 0.5
+    assert high.term(5) == pytest.approx(0.9, abs=1e-15)
