@@ -34,6 +34,7 @@ from .linalg import INTEGER_TOL, STRUCTURAL_TOL, projection_entry_excess, projec
 from .majorization import verify_concentration
 from .schur import InfeasibleDiagonalError, _mix_rows_to, carpenter_finite
 from .sequences import (
+    BudgetExhaustedError,
     SequenceSpec,
     SideSums,
     TailCertificateError,
@@ -63,10 +64,6 @@ __all__ = [
     "projection_increment_norms",
     "verify_truncation",
 ]
-
-
-class BudgetExhaustedError(RuntimeError):
-    """A construction consumed more sequence terms than its budget allows."""
 
 
 class Feasibility(enum.Enum):
@@ -104,11 +101,14 @@ def _add_finite(base: float, side: float | None) -> float | None:
     return base + side
 
 
-def kadison_sums(spec: SequenceSpec, alpha: float = 0.5) -> SideSums:
-    """Side sums of the whole sequence (prefix plus tail) at ``alpha`` in (0, 1)."""
+def kadison_sums(spec: SequenceSpec, alpha: float = 0.5, *, budget: int = 100_000) -> SideSums:
+    """Side sums of the whole sequence (prefix plus tail) at ``alpha`` in (0, 1).
+
+    The tail may evaluate at most ``budget`` terms, else :class:`BudgetExhaustedError`.
+    """
     if not 0.0 < alpha < 1.0:
         raise ValueError("threshold must lie strictly inside (0, 1)")
-    tail = spec.tail.side_sums(alpha)
+    tail = spec.tail.side_sums(alpha, budget)
     prefix_low = sum(v for v in spec.prefix if v <= alpha)
     prefix_high = sum(1.0 - v for v in spec.prefix if v > alpha)
     return SideSums(
@@ -121,10 +121,14 @@ def kadison_sums(spec: SequenceSpec, alpha: float = 0.5) -> SideSums:
 
 
 def feasibility(
-    spec: SequenceSpec, alpha: float = 0.5, integer_tol: float = INTEGER_TOL
+    spec: SequenceSpec,
+    alpha: float = 0.5,
+    integer_tol: float = INTEGER_TOL,
+    *,
+    budget: int = 100_000,
 ) -> KadisonReport:
     """Decide which construction (if any) applies to the sequence at ``alpha``."""
-    sums = kadison_sums(spec, alpha)
+    sums = kadison_sums(spec, alpha, budget=budget)
     low, high = sums.low, sums.high
     if low is None or high is None or low == math.inf or high == math.inf:
         verdict = Feasibility.CASE_A
@@ -200,7 +204,7 @@ def build_case_b(
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    report = feasibility(spec, alpha)
+    report = feasibility(spec, alpha, budget=budget)
     if report.feasibility is Feasibility.CASE_A:
         raise ValueError("the threshold sums diverge; use build_case_a instead")
     if report.feasibility is Feasibility.INFEASIBLE:
@@ -210,13 +214,13 @@ def build_case_b(
         )
     complemented = False
     work_spec, work_alpha = spec, alpha
-    sums = kadison_sums(work_spec, work_alpha)
+    sums = kadison_sums(work_spec, work_alpha, budget=budget)
     if not sums.low_mass_infinite and sums.high_mass_infinite:
         # Only the high side carries infinite mass: the residual ordering
         # mu < delta could not be sustained, so build for the complement.
         complemented = True
         work_spec, work_alpha = complement(spec), 1.0 - alpha
-        sums = kadison_sums(work_spec, work_alpha)
+        sums = kadison_sums(work_spec, work_alpha, budget=budget)
     a_f = float(sums.low)
     b_f = float(sums.high)
     snap = 1e-13 * max(1.0, a_f, b_f)
@@ -400,9 +404,11 @@ def block_projection_from_partition(blocks, tol: float = INTEGER_TOL) -> np.ndar
     return out
 
 
-def _attributed_order(spec: SequenceSpec, alpha: float, sample: int = 2048) -> list[bool]:
+def _attributed_order(
+    spec: SequenceSpec, alpha: float, budget: int, sample: int = 2048
+) -> list[bool]:
     """Preferred complementation order for the divergent construction."""
-    sums = kadison_sums(spec, alpha)
+    sums = kadison_sums(spec, alpha, budget=budget)
     if sums.low == math.inf:
         return [False, True]
     if sums.high == math.inf:
@@ -443,7 +449,7 @@ def build_case_a(
     """
     if depth < 2:
         raise ValueError("depth must be at least 2")
-    report = feasibility(spec, alpha)
+    report = feasibility(spec, alpha, budget=budget)
     if report.feasibility is not Feasibility.CASE_A:
         raise ValueError("the threshold sums are summable; use build_case_b instead")
 
@@ -451,7 +457,7 @@ def build_case_a(
     complemented = False
     work_spec, work_alpha = spec, alpha
     sample_size = min(4096, budget)
-    for flip in _attributed_order(spec, alpha):
+    for flip in _attributed_order(spec, alpha, budget):
         candidate_spec = complement(spec) if flip else spec
         candidate_alpha = 1.0 - alpha if flip else alpha
         sampled = [

@@ -145,7 +145,7 @@ def _cmd_carpenter(args) -> int:
 
 def _cmd_obstruction(args) -> int:
     spec = load_sequence_spec(args.spec)
-    report = feasibility(spec, args.alpha)
+    report = feasibility(spec, args.alpha, budget=args.budget)
     pairs = [
         ("alpha", report.alpha),
         ("a_f", report.low_sum),

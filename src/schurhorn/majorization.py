@@ -9,6 +9,7 @@ matrix constructions in :mod:`schurhorn.schur` consume.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,22 +28,6 @@ def as_vector(x) -> np.ndarray:
     if not np.all(np.isfinite(v)):
         raise ValueError("vector entries must be finite")
     return v
-
-
-def top_k_sum(x, k: int) -> float:
-    """Sum of the k largest entries of x."""
-    v = as_vector(x)
-    if not 1 <= k <= v.size:
-        raise ValueError(f"k must lie in 1..{v.size}, got {k}")
-    return float(np.sort(v)[::-1][:k].sum())
-
-
-def bottom_k_sum(x, k: int) -> float:
-    """Sum of the k smallest entries of x."""
-    v = as_vector(x)
-    if not 1 <= k <= v.size:
-        raise ValueError(f"k must lie in 1..{v.size}, got {k}")
-    return float(np.sort(v)[:k].sum())
 
 
 def majorizes(x, y, tol: float = 1e-9) -> bool:
@@ -67,6 +52,8 @@ def majorizes_by_absolute_sums(x, y, tol: float = 1e-9) -> bool:
     ``sum_j |x_j - t| <= sum_j |y_j - t|`` for every real ``t``.  The deviation
     gap is piecewise linear in ``t`` and flat at infinity once the totals
     match, so checking ``t`` at every entry of ``x`` and ``y`` is exhaustive.
+    Each deviation sum is read off sorted entries and their prefix sums, so
+    the test takes O(n log n) time and O(n) memory.
     """
     x = as_vector(x)
     y = as_vector(y)
@@ -75,9 +62,15 @@ def majorizes_by_absolute_sums(x, y, tol: float = 1e-9) -> bool:
     if abs(float(x.sum() - y.sum())) > tol:
         return False
     pts = np.concatenate([x, y])
-    lhs = np.abs(x[None, :] - pts[:, None]).sum(axis=1)
-    rhs = np.abs(y[None, :] - pts[:, None]).sum(axis=1)
-    return bool(np.all(lhs <= rhs + tol))
+    return bool(np.all(_deviation_sums(x, pts) <= _deviation_sums(y, pts) + tol))
+
+
+def _deviation_sums(v: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """``sum_j |v_j - t|`` for every ``t`` in ``pts``."""
+    s = np.sort(v)
+    below = np.concatenate(([0.0], np.cumsum(s)))
+    m = np.searchsorted(s, pts)  # entries of v below t
+    return (2 * m - s.size) * pts - 2.0 * below[m] + below[-1]
 
 
 @dataclass(frozen=True)
@@ -103,22 +96,17 @@ class TTransform:
 
 def apply_t_transform(tr: TTransform, x) -> np.ndarray:
     v = as_vector(x).copy()
-    if tr.j >= v.size or tr.k >= v.size:
-        raise ValueError(f"positions ({tr.j}, {tr.k}) out of range for length {v.size}")
-    vj, vk = v[tr.j], v[tr.k]
-    v[tr.j] = tr.t * vj + (1.0 - tr.t) * vk
-    v[tr.k] = (1.0 - tr.t) * vj + tr.t * vk
+    _mix(tr, v)
     return v
 
 
-def t_transform_matrix(tr: TTransform, n: int) -> np.ndarray:
-    """The doubly stochastic matrix realising a T-transform on length-n vectors."""
-    if tr.j >= n or tr.k >= n:
-        raise ValueError(f"positions ({tr.j}, {tr.k}) out of range for length {n}")
-    m = np.eye(n)
-    m[tr.j, tr.j] = m[tr.k, tr.k] = tr.t
-    m[tr.j, tr.k] = m[tr.k, tr.j] = 1.0 - tr.t
-    return m
+def _mix(tr: TTransform, v) -> None:
+    """Apply ``tr`` in place to the list or array ``v``."""
+    if tr.j >= len(v) or tr.k >= len(v):
+        raise ValueError(f"positions ({tr.j}, {tr.k}) out of range for length {len(v)}")
+    vj, vk = v[tr.j], v[tr.k]
+    v[tr.j] = tr.t * vj + (1.0 - tr.t) * vk
+    v[tr.k] = (1.0 - tr.t) * vj + tr.t * vk
 
 
 @dataclass(frozen=True)
@@ -138,10 +126,10 @@ class TTransformPlan:
 
 def replay_t_transform_plan(plan: TTransformPlan, y) -> np.ndarray:
     """Apply a plan to ``y`` and return the result aligned with the target order."""
-    w = as_vector(y)[list(plan.source_order)].copy()
+    w = as_vector(y)[list(plan.source_order)].tolist()
     for tr in plan.transforms:
-        w = apply_t_transform(tr, w)
-    return w[list(plan.placement)]
+        _mix(tr, w)
+    return np.array(w)[list(plan.placement)]
 
 
 def decompose_t_transforms(x, y, tol: float = 1e-9) -> TTransformPlan:
@@ -152,6 +140,11 @@ def decompose_t_transforms(x, y, tol: float = 1e-9) -> TTransformPlan:
     value not exceeding the target, which places the target exactly and
     removes one position from play.  At most ``n - 1`` transforms are emitted;
     ``x == y`` yields none.
+
+    The active positions are kept as one list of ``(-value, position)`` keys
+    in increasing order.  A step changes a single value, so it costs one
+    bisection and one insertion rather than a re-sort: O(n log n) comparisons
+    in all.
     """
     x = as_vector(x)
     y = as_vector(y)
@@ -161,47 +154,35 @@ def decompose_t_transforms(x, y, tol: float = 1e-9) -> TTransformPlan:
         raise MajorizationError("x is not majorised by y")
     n = x.size
     source_order = np.argsort(-y, kind="stable")
-    frame = y[source_order].astype(float)
+    frame = y[source_order].tolist()
     # Equal-within-noise values are retired without a mixing step.
     scale = max(1.0, float(np.max(np.abs(y))) if n else 1.0)
     settle = 1e-13 * scale
-    order = np.argsort(-x, kind="stable")
-    active = list(range(n))
-    placement = np.empty(n, dtype=int)
+    targets = x.tolist()
+    keys = [(-v, p) for p, v in enumerate(frame)]  # frame is non-increasing
+    placement = [0] * n
     transforms: list[TTransform] = []
-    for c in order:
-        target = x[c]
-        active.sort(key=lambda p: (-frame[p], p))
-        top = active[0]
-        if len(active) == 1 or frame[top] - target <= settle:
-            placement[c] = top
-            active.pop(0)
+    for c in np.argsort(-x, kind="stable").tolist():
+        target = targets[c]
+        top = keys[0][1]
+        placement[c] = top
+        if len(keys) == 1 or frame[top] - target <= settle:
+            del keys[0]
             continue
-        pick = None
-        for pos in range(1, len(active)):
-            if frame[active[pos]] <= target:
-                pick = pos
-                break
-        if pick is None:
-            pick = len(active) - 1
-        low = active[pick]
+        # First active value not exceeding the target, else the smallest.
+        pick = min(bisect_left(keys, (-target, -1), 1), len(keys) - 1)
+        low = keys[pick][1]
         denom = frame[top] - frame[low]
         if denom <= settle:
-            placement[c] = top
-            active.pop(0)
+            del keys[0]
             continue
-        t = min(1.0, max(0.0, (target - frame[low]) / denom))
-        transforms.append(TTransform(int(top), int(low), t))
-        hi, lo = frame[top], frame[low]
-        frame[top] = t * hi + (1.0 - t) * lo
-        frame[low] = (1.0 - t) * hi + t * lo
-        placement[c] = top
-        active.pop(0)
-    return TTransformPlan(
-        tuple(transforms),
-        tuple(int(i) for i in source_order),
-        tuple(int(i) for i in placement),
-    )
+        tr = TTransform(top, low, min(1.0, max(0.0, (target - frame[low]) / denom)))
+        transforms.append(tr)
+        _mix(tr, frame)
+        del keys[pick]
+        del keys[0]
+        insort(keys, (-frame[low], low))
+    return TTransformPlan(tuple(transforms), tuple(source_order.tolist()), tuple(placement))
 
 
 def doubly_stochastic_residual(b) -> float:

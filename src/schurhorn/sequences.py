@@ -8,8 +8,9 @@ floating-point guesswork.
 
 Each tail rule is a class that carries its own behaviour, tagged with its
 wire name ``kind``: ``term(i)`` is tail position ``i`` (1-based),
-``complement()`` the rule of ``1 - term``, ``side_sums(alpha)`` the
-:class:`SideSums` at a threshold, ``side_count(alpha, low)`` the number of
+``complement()`` the rule of ``1 - term``, ``side_sums(alpha, budget)`` the
+:class:`SideSums` at a threshold (evaluating at most ``budget`` terms, else
+:class:`BudgetExhaustedError`), ``side_count(alpha, low)`` the number of
 indices on one side (``inf``, or ``None`` when the rule cannot attribute
 them), ``total()`` the sum of all terms and ``to_obj()`` the wire form.
 
@@ -29,6 +30,10 @@ _BOUNDARY_FUZZ = 1e-12
 
 class TailCertificateError(ValueError):
     """A divergence certificate is missing, malformed, or contradicted."""
+
+
+class BudgetExhaustedError(RuntimeError):
+    """A computation needs more sequence terms than its budget allows."""
 
 
 _GEN_FUNCS = {
@@ -153,7 +158,7 @@ class ZeroTail:
     def complement(self) -> "OneTail":
         return OneTail()
 
-    def side_sums(self, alpha: float) -> SideSums:
+    def side_sums(self, alpha: float, budget: int = 100_000) -> SideSums:
         return SideSums(0.0, 0.0, False, False, False)
 
     def side_count(self, alpha: float, low: bool) -> float | None:
@@ -178,7 +183,7 @@ class OneTail:
     def complement(self) -> ZeroTail:
         return ZeroTail()
 
-    def side_sums(self, alpha: float) -> SideSums:
+    def side_sums(self, alpha: float, budget: int = 100_000) -> SideSums:
         return SideSums(0.0, 0.0, False, False, False)
 
     def side_count(self, alpha: float, low: bool) -> float | None:
@@ -221,7 +226,7 @@ class GeometricLow(_Geometric):
     def complement(self) -> "GeometricHigh":
         return GeometricHigh(self.c, self.r)
 
-    def side_sums(self, alpha: float) -> SideSums:
+    def side_sums(self, alpha: float, budget: int = 100_000) -> SideSums:
         _, high, low = _geometric_split(self.c, self.r, alpha, inclusive=False)
         return SideSums(low, high, self.c > 0.0, False, False)
 
@@ -245,7 +250,7 @@ class GeometricHigh(_Geometric):
     def complement(self) -> GeometricLow:
         return GeometricLow(self.c, self.r)
 
-    def side_sums(self, alpha: float) -> SideSums:
+    def side_sums(self, alpha: float, budget: int = 100_000) -> SideSums:
         _, low, high = _geometric_split(self.c, self.r, 1.0 - alpha, inclusive=True)
         return SideSums(low, high, False, self.c > 0.0, False)
 
@@ -275,9 +280,9 @@ class Interleave:
     def complement(self) -> "Interleave":
         return Interleave(self.first.complement(), self.second.complement())
 
-    def side_sums(self, alpha: float) -> SideSums:
-        a = self.first.side_sums(alpha)
-        b = self.second.side_sums(alpha)
+    def side_sums(self, alpha: float, budget: int = 100_000) -> SideSums:
+        a = self.first.side_sums(alpha, budget)
+        b = self.second.side_sums(alpha, budget)
         return SideSums(
             _combine(a.low, b.low),
             _combine(a.high, b.high),
@@ -322,6 +327,13 @@ class _Divergent:
     def _g(self, i: int) -> float:
         return min(0.5, max(0.0, _eval_generator(self.generator, i)))
 
+    def _head(self, budget: int) -> range:
+        """The indices below the certificate's start, at most ``budget`` of them."""
+        start = self.certificate.start
+        if start - 1 > budget:
+            raise BudgetExhaustedError(f"certificate start {start} needs more than {budget} terms")
+        return range(1, start)
+
     def total(self) -> float:
         return math.inf
 
@@ -345,14 +357,14 @@ class DivergentLow(_Divergent):
     def complement(self) -> "DivergentHigh":
         return DivergentHigh(self.generator, self.certificate)
 
-    def side_sums(self, alpha: float) -> SideSums:
+    def side_sums(self, alpha: float, budget: int = 100_000) -> SideSums:
         cert = self.certificate
         if alpha >= 0.5:
             # Every term sits in [0, 1/2], hence on the low side.
             return SideSums(math.inf, 0.0, True, False, True)
         if cert.kind == "constant" and cert.p > alpha:
             low = 0.0
-            for i in range(1, cert.start):
+            for i in self._head(budget):
                 v = self.term(i)
                 if v <= alpha:
                     low += v
@@ -376,14 +388,14 @@ class DivergentHigh(_Divergent):
     def complement(self) -> DivergentLow:
         return DivergentLow(self.generator, self.certificate)
 
-    def side_sums(self, alpha: float) -> SideSums:
+    def side_sums(self, alpha: float, budget: int = 100_000) -> SideSums:
         cert = self.certificate
         if alpha < 0.5:
             # Every term sits in [1/2, 1], hence strictly above alpha.
             return SideSums(0.0, math.inf, False, True, True)
         if cert.kind == "constant" and cert.p > 1.0 - alpha:
             high = 0.0
-            for i in range(1, cert.start):
+            for i in self._head(budget):
                 v = self.term(i)
                 if v > alpha:
                     high += 1.0 - v

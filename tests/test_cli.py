@@ -278,6 +278,26 @@ def test_budget_exhaustion_exits_three(tmp_path, capsys):
     assert code == 3
 
 
+def _divergent_spec(tmp_path, start):
+    cert = {"kind": "constant", "p": 0.25, "start": start}
+    tail = {"kind": "divergent-low", "generator": "0.25", "certificate": cert}
+    return _write_spec(tmp_path / "spec.json", {"prefix": [], "tail": tail})
+
+
+@pytest.mark.parametrize(
+    "start, budget, code",
+    [(10**12, None, 3), (1_000, "500", 3), (1_000, None, 0), (100_000, None, 0)],
+)
+def test_certificate_scan_counts_against_budget(tmp_path, capsys, start, budget, code):
+    # Side sums add up every term below the certificate's start.
+    args = ["obstruction", _divergent_spec(tmp_path, start), "--alpha", "0.1"]
+    assert main(args + (["--budget", budget] if budget else [])) == code
+    if code == 0:
+        assert _kv(capsys)["case"] == "CaseA"
+    else:
+        assert "terms" in capsys.readouterr().err
+
+
 def test_csv_and_human_styles(tmp_path, capsys):
     x = _write_vector(tmp_path / "x.json", [1.0, 1.0])
     y = _write_vector(tmp_path / "y.json", [2.0, 0.0])

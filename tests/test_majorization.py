@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from schurhorn import (
     MajorizationError,
     TTransform,
+    TTransformPlan,
     apply_doubly_stochastic,
     apply_t_transform,
-    bottom_k_sum,
     decompose_t_transforms,
     doubly_stochastic_residual,
     flag_majorant,
@@ -18,8 +18,6 @@ from schurhorn import (
     majorizes_by_absolute_sums,
     orthostochastic_from_unitary,
     replay_t_transform_plan,
-    t_transform_matrix,
-    top_k_sum,
     verify_concentration,
 )
 
@@ -29,6 +27,86 @@ from conftest import (
     random_majorized_pair,
     random_unitary,
 )
+
+
+def t_transform_matrix(tr: TTransform, n: int) -> np.ndarray:
+    """The doubly stochastic matrix realising a T-transform on length-n vectors."""
+    m = np.eye(n)
+    m[tr.j, tr.j] = m[tr.k, tr.k] = tr.t
+    m[tr.j, tr.k] = m[tr.k, tr.j] = 1.0 - tr.t
+    return m
+
+
+def _reference_decompose(x, y, tol: float = 1e-9) -> TTransformPlan:
+    """The decomposition as first written: a full re-sort of the active list per step."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if not majorizes(x, y, tol):
+        raise MajorizationError("x is not majorised by y")
+    n = x.size
+    source_order = np.argsort(-y, kind="stable")
+    frame = y[source_order].astype(float)
+    scale = max(1.0, float(np.max(np.abs(y))) if n else 1.0)
+    settle = 1e-13 * scale
+    order = np.argsort(-x, kind="stable")
+    active = list(range(n))
+    placement = np.empty(n, dtype=int)
+    transforms = []
+    for c in order:
+        target = x[c]
+        active.sort(key=lambda p: (-frame[p], p))
+        top = active[0]
+        if len(active) == 1 or frame[top] - target <= settle:
+            placement[c] = top
+            active.pop(0)
+            continue
+        pick = None
+        for pos in range(1, len(active)):
+            if frame[active[pos]] <= target:
+                pick = pos
+                break
+        if pick is None:
+            pick = len(active) - 1
+        low = active[pick]
+        denom = frame[top] - frame[low]
+        if denom <= settle:
+            placement[c] = top
+            active.pop(0)
+            continue
+        t = min(1.0, max(0.0, (target - frame[low]) / denom))
+        transforms.append(TTransform(int(top), int(low), t))
+        hi, lo = frame[top], frame[low]
+        frame[top] = t * hi + (1.0 - t) * lo
+        frame[low] = (1.0 - t) * hi + t * lo
+        placement[c] = top
+        active.pop(0)
+    return TTransformPlan(
+        tuple(transforms),
+        tuple(int(i) for i in source_order),
+        tuple(int(i) for i in placement),
+    )
+
+
+def _plan_bits(plan: TTransformPlan):
+    steps = [(tr.j, tr.k, float(tr.t).hex()) for tr in plan.transforms]
+    return steps, plan.source_order, plan.placement
+
+
+def _assert_matches_reference(x, y):
+    """Same plan as the re-sort reference, bit for bit, and a bitwise replay."""
+    try:
+        expected = _reference_decompose(x, y)
+    except MajorizationError:
+        with pytest.raises(MajorizationError):
+            decompose_t_transforms(x, y)
+        return
+    plan = decompose_t_transforms(x, y)
+    assert _plan_bits(plan) == _plan_bits(expected)
+    w = np.asarray(y, dtype=float)[list(plan.source_order)]
+    for tr in plan.transforms:
+        w = apply_t_transform(tr, w)
+    assert replay_t_transform_plan(plan, y).tobytes() == w[list(plan.placement)].tobytes()
+
 
 short_vectors = st.lists(
     st.floats(min_value=-50, max_value=50, allow_nan=False), min_size=1, max_size=6
@@ -71,17 +149,6 @@ def test_majorizes_routes_agree_hypothesis(x, y):
     assert a == b == c
 
 
-def test_top_and_bottom_k_sums():
-    v = [3.0, -1.0, 2.0]
-    assert top_k_sum(v, 1) == 3.0
-    assert top_k_sum(v, 2) == 5.0
-    assert bottom_k_sum(v, 2) == 1.0
-    with pytest.raises(ValueError):
-        top_k_sum(v, 0)
-    with pytest.raises(ValueError):
-        bottom_k_sum(v, 4)
-
-
 def test_t_transform_validation():
     with pytest.raises(ValueError):
         TTransform(1, 1, 0.5)
@@ -115,6 +182,58 @@ def test_decompose_replays_exactly():
         assert len(plan.transforms) <= n - 1 or n == 1
         back = replay_t_transform_plan(plan, y)
         assert np.max(np.abs(back - x)) <= 1e-9
+
+
+def test_decompose_matches_resort_reference():
+    rng = np.random.default_rng(209)
+    for trial in range(240):
+        n = int(rng.integers(1, 300)) if trial % 12 == 0 else int(rng.integers(1, 40))
+        kind = trial % 4
+        if kind == 0:
+            y = rng.normal(size=n)
+        elif kind == 1:
+            y = rng.integers(-2, 3, size=n).astype(float)  # heavy ties
+        elif kind == 2:
+            y = np.resize(rng.integers(0, 3, size=max(1, n // 4)).astype(float), n)
+        else:
+            y = rng.choice([0.0, -0.0, 0.5, 1.0], size=n)
+        choice = trial % 5
+        if choice == 0:
+            x = rng.permutation(y)
+        elif choice == 1:
+            x = np.full(n, y.sum() / n)
+        else:
+            x = random_doubly_stochastic(rng, n) @ y
+            if kind and choice == 2:
+                x = np.round(x * 4) / 4  # ties in x, sometimes not majorised
+        _assert_matches_reference(x, y)
+
+
+@settings(max_examples=150, deadline=None)
+@given(short_vectors, st.randoms(use_true_random=False))
+def test_decompose_matches_resort_reference_hypothesis(y, rnd):
+    y = np.array(y)
+    b = np.zeros((y.size, y.size))
+    for w in (0.5, 0.3, 0.2):
+        perm = list(range(y.size))
+        rnd.shuffle(perm)
+        b[np.arange(y.size), perm] += w
+    _assert_matches_reference(b @ y, y)
+    _assert_matches_reference(y[::-1].copy(), y)
+
+
+def test_replay_rejects_out_of_range_positions():
+    plan = TTransformPlan((TTransform(0, 3, 0.5),), (0, 1, 2), (0, 1, 2))
+    with pytest.raises(ValueError, match="out of range"):
+        replay_t_transform_plan(plan, [3.0, 2.0, 1.0])
+
+
+def test_majorizes_by_absolute_sums_at_scale():
+    rng = np.random.default_rng(210)
+    y = rng.normal(size=20_000)
+    x = np.repeat(np.sort(y).reshape(-1, 2).mean(axis=1), 2)  # average neighbouring pairs
+    assert majorizes_by_absolute_sums(x, y)
+    assert not majorizes_by_absolute_sums(y, x)
 
 
 def test_decompose_identity_needs_no_transforms():
