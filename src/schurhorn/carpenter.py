@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import enum
 import math
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
 from statistics import median
@@ -50,6 +51,7 @@ __all__ = [
     "KadisonReport",
     "TruncatedProjection",
     "MonotoneSelection",
+    "MonotoneSelectionError",
     "BudgetExhaustedError",
     "TailCertificateError",
     "kadison_sums",
@@ -214,15 +216,14 @@ def build_case_b(
         )
     complemented = False
     work_spec, work_alpha = spec, alpha
-    sums = kadison_sums(work_spec, work_alpha, budget=budget)
-    if not sums.low_mass_infinite and sums.high_mass_infinite:
+    a_f, b_f = float(report.low_sum), float(report.high_complement_sum)
+    if not report.low_mass_infinite and report.high_mass_infinite:
         # Only the high side carries infinite mass: the residual ordering
         # mu < delta could not be sustained, so build for the complement.
         complemented = True
         work_spec, work_alpha = complement(spec), 1.0 - alpha
         sums = kadison_sums(work_spec, work_alpha, budget=budget)
-    a_f = float(sums.low)
-    b_f = float(sums.high)
+        a_f, b_f = float(sums.low), float(sums.high)
     snap = 1e-13 * max(1.0, a_f, b_f)
 
     def residual(total: float, taken: float) -> float:
@@ -341,6 +342,14 @@ def chebyshev_coefficients(values, delta: float) -> tuple[int, tuple[float, ...]
     raise ValueError(f"values sum to {total!r} and never reach delta={delta!r}")
 
 
+class MonotoneSelectionError(RuntimeError):
+    """No selection rule fits the sampled terms of a divergent sequence.
+
+    The spec itself is valid, so this is a limit of :func:`build_case_a`
+    (exit code 3), not malformed input.
+    """
+
+
 @dataclass(frozen=True)
 class MonotoneSelection:
     """Rule for extracting a non-increasing divergent subsequence.
@@ -363,6 +372,38 @@ class MonotoneSelection:
         return last_kept is None or v <= last_kept + self.tolerance
 
 
+def _bucket(v: float) -> float:
+    return round(v, 9)
+
+
+def _largest_bucket(vals: list[float], need: int) -> list[float] | None:
+    """Largest group of ``vals`` sharing one :func:`_bucket` value, if it has
+    at least ``need`` members; of equal groups, the first to appear in ``vals``.
+
+    Rounding is monotone, so each group is a run of the sorted values, and a
+    run of ``need`` or more covers one of the positions ``need - 1``,
+    ``2 * need - 1``, ...: only the groups at those positions are measured.
+    """
+    ordered = sorted(vals)
+    step = max(need, 1)
+    runs: dict[int, int] = {}
+    for pos in range(step - 1, len(ordered), step):
+        key = _bucket(ordered[pos])
+        lo = bisect_left(ordered, key, key=_bucket)
+        runs[lo] = bisect_right(ordered, key, lo, key=_bucket)
+    size = max((hi - lo for lo, hi in runs.items()), default=0)
+    if size < need:
+        return None
+    tied = [lo for lo, hi in runs.items() if hi - lo == size]
+    if len(tied) > 1:
+        tied.sort(key=lambda lo: _first_at(vals, ordered[lo], ordered[lo + size - 1]))
+    return ordered[tied[0] : tied[0] + size]
+
+
+def _first_at(vals: list[float], low: float, high: float) -> int:
+    return next(j for j, v in enumerate(vals) if low <= v <= high)
+
+
 def monotone_divergent_subsequence(values, *, min_cluster: int = 16) -> MonotoneSelection | None:
     """Pick a selection rule from sampled candidate values, or ``None``.
 
@@ -370,15 +411,12 @@ def monotone_divergent_subsequence(values, *, min_cluster: int = 16) -> Monotone
     value), an already non-increasing sample, and a greedy non-increasing
     sub-stream that retains a substantial share of the sampled mass.
     """
-    vals = [float(v) for v in values if 1e-12 < float(v) < 1.0 - 1e-12]
+    vals = [v for v in map(float, values) if 1e-12 < v < 1.0 - 1e-12]
     if not vals:
         return None
-    buckets: dict[float, list[float]] = {}
-    for v in vals:
-        buckets.setdefault(round(v, 9), []).append(v)
-    anchor = max(buckets, key=lambda key: len(buckets[key]))
-    cluster = buckets[anchor]
-    if len(cluster) >= max(min_cluster, len(vals) // 4) and min(cluster) > 1e-6:
+    need = max(min_cluster, len(vals) // 4)
+    cluster = _largest_bucket(vals, need)
+    if cluster is not None and min(cluster) > 1e-6:
         return MonotoneSelection("constant", float(median(cluster)), 1e-9)
     if all(b <= a + 1e-12 for a, b in zip(vals, vals[1:])):
         return MonotoneSelection("descending", None, 1e-12)
@@ -386,7 +424,7 @@ def monotone_divergent_subsequence(values, *, min_cluster: int = 16) -> Monotone
     for v in vals:
         if not kept or v <= kept[-1] + 1e-12:
             kept.append(v)
-    if len(kept) >= max(min_cluster, len(vals) // 4) and sum(kept) >= 0.25 * sum(vals):
+    if len(kept) >= need and sum(kept) >= 0.25 * sum(vals):
         return MonotoneSelection("descending", None, 1e-12)
     return None
 
@@ -404,15 +442,13 @@ def block_projection_from_partition(blocks, tol: float = INTEGER_TOL) -> np.ndar
     return out
 
 
-def _attributed_order(
-    spec: SequenceSpec, alpha: float, budget: int, sample: int = 2048
-) -> list[bool]:
+def _attributed_order(spec: SequenceSpec, report: KadisonReport, sample: int = 2048) -> list[bool]:
     """Preferred complementation order for the divergent construction."""
-    sums = kadison_sums(spec, alpha, budget=budget)
-    if sums.low == math.inf:
+    if report.low_sum == math.inf:
         return [False, True]
-    if sums.high == math.inf:
+    if report.high_complement_sum == math.inf:
         return [True, False]
+    alpha = report.alpha
     mass_low = 0.0
     mass_high = 0.0
     for i in range(1, sample + 1):
@@ -457,7 +493,7 @@ def build_case_a(
     complemented = False
     work_spec, work_alpha = spec, alpha
     sample_size = min(4096, budget)
-    for flip in _attributed_order(spec, alpha, budget):
+    for flip in _attributed_order(spec, report):
         candidate_spec = complement(spec) if flip else spec
         candidate_alpha = 1.0 - alpha if flip else alpha
         sampled = [
@@ -471,7 +507,7 @@ def build_case_a(
             work_spec, work_alpha = candidate_spec, candidate_alpha
             break
     if selection is None:
-        raise TailCertificateError(
+        raise MonotoneSelectionError(
             "no monotone divergent subsequence is apparent in the sampled terms"
         )
 

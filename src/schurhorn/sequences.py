@@ -19,9 +19,9 @@ Indices are 1-based throughout: ``term(spec, 1)`` is the first entry.
 
 from __future__ import annotations
 
+import ast
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Union
 
 _SAMPLE_INDICES = tuple(range(1, 33)) + tuple(2**k for k in range(6, 16))
@@ -53,19 +53,52 @@ _GEN_FUNCS = {
 }
 
 
-@lru_cache(maxsize=None)
-def _compiled(expr: str):
-    return compile(expr, "<tail generator>", "eval")
+# Node types a generator may contain: numbers, names, arithmetic, comparisons,
+# ``and``/``or``/``not``, ``x if c else y`` and calls.  Constants and names are
+# further restricted in :func:`_compile_generator`.
+_GEN_NODES = (
+    ast.Expression, ast.Constant, ast.Name, ast.Load, ast.Call, ast.IfExp,
+    ast.BinOp, ast.Add, ast.Sub, ast.Mult, ast.Div, ast.FloorDiv, ast.Mod, ast.Pow,
+    ast.UnaryOp, ast.UAdd, ast.USub, ast.Not, ast.BoolOp, ast.And, ast.Or,
+    ast.Compare, ast.Eq, ast.NotEq, ast.Lt, ast.LtE, ast.Gt, ast.GtE,
+)
+
+# Exceptions a whitelisted generator can raise when evaluated.
+_GEN_ERRORS = (ArithmeticError, TypeError, ValueError)
 
 
-def _eval_generator(expr: str, i: int) -> float:
-    env = dict(_GEN_FUNCS)
-    env["i"] = i
+def _compile_generator(expr: str):
+    """The generator ``expr`` as a function ``i -> value``.
+
+    The expression is parsed and checked against the whitelist before it is
+    compiled (once, with empty builtins), so untrusted spec JSON cannot reach
+    attributes, subscripts, strings or any other Python machinery.
+    """
     try:
-        value = eval(_compiled(expr), {"__builtins__": {}}, env)  # noqa: S307
-    except Exception as exc:  # pragma: no cover - defensive
-        raise TailCertificateError(f"generator {expr!r} failed at i={i}: {exc}") from exc
-    return float(value)
+        tree = ast.parse(expr, mode="eval")
+    except (SyntaxError, ValueError, RecursionError, MemoryError) as exc:
+        raise TailCertificateError(f"generator {expr!r} does not parse: {exc}") from exc
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant):
+            ok = type(node.value) in (int, float)
+        elif isinstance(node, ast.Name):
+            ok = node.id == "i" or node.id in _GEN_FUNCS
+        elif isinstance(node, ast.Call):
+            ok = isinstance(node.func, ast.Name) and callable(_GEN_FUNCS.get(node.func.id))
+        else:
+            ok = isinstance(node, _GEN_NODES)
+        if not ok:
+            what = f"name {node.id!r}" if isinstance(node, ast.Name) else type(node).__name__
+            raise TailCertificateError(f"generator {expr!r}: {what} is not allowed")
+    args = ast.arguments(
+        posonlyargs=[], args=[ast.arg("i")], kwonlyargs=[], kw_defaults=[], defaults=[]
+    )
+    fn = ast.fix_missing_locations(ast.Expression(ast.Lambda(args, tree.body)))
+    try:
+        code = compile(fn, "<tail generator>", "eval")
+    except (RecursionError, MemoryError) as exc:
+        raise TailCertificateError(f"generator {expr!r} is nested too deeply") from exc
+    return eval(code, {"__builtins__": {}, **_GEN_FUNCS})  # noqa: S307 - whitelisted
 
 
 @dataclass(frozen=True)
@@ -313,8 +346,11 @@ class _Divergent:
     certificate: Certificate
 
     def __post_init__(self):
+        # The compiled generator is kept outside the dataclass fields, so
+        # equality, hashing and the wire form see only the source text.
+        object.__setattr__(self, "_fn", _compile_generator(self.generator))
         for i in _SAMPLE_INDICES:
-            v = _eval_generator(self.generator, i)
+            v = self._value(i)
             if not -_BOUNDARY_FUZZ <= v <= 0.5 + _BOUNDARY_FUZZ:
                 raise TailCertificateError(
                     f"{self.kind} generator must stay in [0, 1/2]; got {v!r} at i={i}"
@@ -324,8 +360,28 @@ class _Divergent:
                     f"sampled generator value {v!r} at i={i} violates the certificate"
                 )
 
+    def __reduce__(self):
+        return type(self), (self.generator, self.certificate)
+
+    def _failed(self, i: int, exc: Exception) -> TailCertificateError:
+        return TailCertificateError(f"generator {self.generator!r} failed at i={i}: {exc}")
+
+    def _value(self, i: int) -> float:
+        """The unclamped generator value at ``i``."""
+        try:
+            return float(self._fn(i))
+        except _GEN_ERRORS as exc:
+            raise self._failed(i, exc) from exc
+
     def _g(self, i: int) -> float:
-        return min(0.5, max(0.0, _eval_generator(self.generator, i)))
+        """The generator value at ``i`` clamped to [0, 1/2]; NaN and -0.0 give +0.0."""
+        try:
+            v = self._fn(i)
+            if v > 0.0:
+                return v if v < 0.5 else 0.5
+        except _GEN_ERRORS as exc:
+            raise self._failed(i, exc) from exc
+        return 0.0
 
     def _head(self, budget: int) -> range:
         """The indices below the certificate's start, at most ``budget`` of them."""
@@ -400,9 +456,7 @@ class DivergentHigh(_Divergent):
                 if v > alpha:
                     high += 1.0 - v
             return SideSums(math.inf, high, True, False, True)
-        if alpha == 0.5 and all(
-            _eval_generator(self.generator, i) < 0.5 - 1e-9 for i in _SAMPLE_INDICES
-        ):
+        if alpha == 0.5 and all(self._value(i) < 0.5 - 1e-9 for i in _SAMPLE_INDICES):
             # Sampled generator stays below 1/2, so terms stay above alpha.
             return SideSums(0.0, math.inf, False, True, True)
         return SideSums(None, None, True, True, True)

@@ -1,6 +1,8 @@
 """Threshold-sum feasibility and the two truncated-projection constructions."""
 
 import math
+import random
+from statistics import median
 
 import numpy as np
 import pytest
@@ -15,6 +17,8 @@ from schurhorn import (
     GeometricLow,
     InfeasibleDiagonalError,
     Interleave,
+    MonotoneSelection,
+    MonotoneSelectionError,
     OneTail,
     SequenceSpec,
     TailCertificateError,
@@ -231,7 +235,8 @@ def test_case_a_rejections():
     oscillating = SequenceSpec(
         (), DivergentLow("0.25 + 0.2*sin(i)", Certificate("constant", 0.05))
     )
-    with pytest.raises(TailCertificateError):
+    # A valid spec outside the construction's reach: a numerical limit, not bad input.
+    with pytest.raises(MonotoneSelectionError):
         build_case_a(oscillating, depth=3)
 
 
@@ -277,3 +282,82 @@ def test_verify_truncation_detects_tampering():
     report = verify_truncation(HALF_INTERLEAVE, bad)
     assert not report.ok
     assert report.diagonal_error > 1e-3
+
+
+def _reference_monotone(values, *, min_cluster: int = 16):
+    """The bucket-per-value selection that the sorted-sample version replaced."""
+    vals = [float(v) for v in values if 1e-12 < float(v) < 1.0 - 1e-12]
+    if not vals:
+        return None
+    buckets: dict[float, list[float]] = {}
+    for v in vals:
+        buckets.setdefault(round(v, 9), []).append(v)
+    anchor = max(buckets, key=lambda key: len(buckets[key]))
+    cluster = buckets[anchor]
+    if len(cluster) >= max(min_cluster, len(vals) // 4) and min(cluster) > 1e-6:
+        return MonotoneSelection("constant", float(median(cluster)), 1e-9)
+    if all(b <= a + 1e-12 for a, b in zip(vals, vals[1:])):
+        return MonotoneSelection("descending", None, 1e-12)
+    kept: list[float] = []
+    for v in vals:
+        if not kept or v <= kept[-1] + 1e-12:
+            kept.append(v)
+    if len(kept) >= max(min_cluster, len(vals) // 4) and sum(kept) >= 0.25 * sum(vals):
+        return MonotoneSelection("descending", None, 1e-12)
+    return None
+
+
+def _selection_samples():
+    rng = random.Random(20021)
+    centre = 0.123456789
+    near = [centre + d for d in (0.0, 4e-10, -4e-10, 6e-10, -6e-10, 5e-10, -5e-10)]
+    yield [0.3] * 64
+    yield [rng.choice(near) for _ in range(400)]
+    yield [centre + (rng.random() - 0.5) * 2e-9 for _ in range(4096)]
+    for size in (32, 100, 4096):
+        two = [0.2] * (size // 2) + [0.4] * (size // 2)  # equal clusters: first seen wins
+        yield two
+        yield two[::-1]
+        rng.shuffle(two)
+        yield two
+        yield [v + rng.choice((0.0, 4e-10, -4e-10)) for v in two]
+    yield [0.5 / math.sqrt(i) for i in range(1, 4097)]
+    yield sorted((rng.random() for _ in range(500)), reverse=True)
+    yield [rng.random() for _ in range(500)]
+    yield [0.3 + 0.2 * math.sin(i) ** 2 for i in range(1, 2049)]
+    for size in range(1, 16):
+        yield [rng.choice((0.1, 0.2, 0.2 + 4e-10)) for _ in range(size)]
+        yield sorted((rng.random() for _ in range(size)), reverse=True)
+    yield [1e-12, 1.0 - 1e-12, 2e-12, 1.0 - 2e-12] * 20
+    yield [5e-7] * 40 + [0.25] * 39  # the largest cluster sits below 1e-6
+    yield [rng.randint(1, 9) / 10 for _ in range(1000)]
+    yield [rng.randint(1, 10**9 - 1) / 1e9 + rng.choice((5e-10, -5e-10)) for _ in range(300)]
+
+
+@pytest.mark.parametrize("values", list(_selection_samples()))
+@pytest.mark.parametrize("min_cluster", [16, 1])
+def test_monotone_selection_matches_bucket_reference(values, min_cluster):
+    def key(sel):
+        return None if sel is None else (sel.kind, repr(sel.value), sel.tolerance)
+
+    want = _reference_monotone(values, min_cluster=min_cluster)
+    assert key(monotone_divergent_subsequence(values, min_cluster=min_cluster)) == key(want)
+
+
+def test_builds_reuse_the_reported_side_sums(monkeypatch):
+    calls = []
+    for cls in (DivergentLow, GeometricLow):
+        real = cls.side_sums
+
+        def counted(self, *args, real=real, **kwargs):
+            calls.append(type(self).__name__)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "side_sums", counted)
+    case_a = SequenceSpec((), DivergentLow("0.4/sqrt(i)", Certificate("harmonic", 0.4)))
+    case_b = SequenceSpec((0.75, 0.25), GeometricLow(1.0, 0.5))  # low mass infinite
+    for spec, build in ((case_a, build_case_a), (case_b, build_case_b)):
+        calls.clear()
+        assert feasibility(spec).feasibility is not Feasibility.INFEASIBLE  # as the CLI does
+        build(spec, 0.5, 3)
+        assert len(calls) == 2, calls

@@ -11,6 +11,7 @@ from schurhorn import (
     FormatError,
     InfeasibleDiagonalError,
     MajorizationError,
+    MonotoneSelectionError,
     TailCertificateError,
     load_matrix,
     load_plan,
@@ -255,6 +256,7 @@ def test_slow_geometric_tail_classifies(tmp_path, capsys):
         (ConvergenceError("no convergence"), 3),
         (BudgetExhaustedError("budget"), 3),
         (RuntimeError("block repair failed"), 3),
+        (MonotoneSelectionError("no monotone subsequence"), 3),
         (FormatError("bad file"), 2),
         (TailCertificateError("bad certificate"), 2),
         (ValueError("bad value"), 2),
@@ -278,10 +280,25 @@ def test_budget_exhaustion_exits_three(tmp_path, capsys):
     assert code == 3
 
 
-def _divergent_spec(tmp_path, start):
-    cert = {"kind": "constant", "p": 0.25, "start": start}
-    tail = {"kind": "divergent-low", "generator": "0.25", "certificate": cert}
+def _divergent_spec(tmp_path, start, generator="0.25", p=0.25):
+    cert = {"kind": "constant", "p": p, "start": start}
+    tail = {"kind": "divergent-low", "generator": generator, "certificate": cert}
     return _write_spec(tmp_path / "spec.json", {"prefix": [], "tail": tail})
+
+
+def test_generator_outside_whitelist_exits_two(tmp_path, capsys):
+    generator = "().__class__.__mro__[1].__subclasses__() and 0.25"
+    assert main(["obstruction", _divergent_spec(tmp_path, 1, generator)]) == 2
+    assert "not allowed" in capsys.readouterr().err
+
+
+def test_case_a_without_monotone_subsequence_exits_three(tmp_path, capsys):
+    # A valid, certified spec whose terms hold no monotone divergent run.
+    spec = _divergent_spec(tmp_path, 1, "0.3+0.2*sin(i)**2", p=0.3)
+    assert main(["obstruction", spec, "--alpha", "0.4"]) == 0
+    assert _kv(capsys)["case"] == "CaseA"
+    assert main(["obstruction", spec, "--alpha", "0.4", "--build", str(tmp_path / "t.json")]) == 3
+    assert "monotone" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

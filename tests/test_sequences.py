@@ -1,6 +1,9 @@
 """Sequence specs: term evaluation, complements, and exact side sums."""
 
 import math
+import pickle
+import re
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -24,6 +27,7 @@ from schurhorn import (
     side_indices,
     term,
 )
+from schurhorn.sequences import _GEN_FUNCS
 
 HALF_INTERLEAVE = Interleave(GeometricLow(1.0, 0.5), GeometricHigh(1.0, 0.5))
 
@@ -254,3 +258,96 @@ def test_divergent_terms_clip_to_half():
     high = DivergentHigh("0.5/i", Certificate("harmonic", 0.5))
     assert high.term(1) == 0.5
     assert high.term(5) == pytest.approx(0.9, abs=1e-15)
+
+
+_OLD_GEN_FUNCS = {
+    "sqrt": math.sqrt, "log": math.log, "log2": math.log2, "exp": math.exp,
+    "sin": math.sin, "cos": math.cos, "floor": math.floor, "ceil": math.ceil,
+    "min": min, "max": max, "abs": abs, "pi": math.pi, "e": math.e,
+}
+
+
+def _reference_g(expr: str, i: int) -> float:
+    """The per-term ``eval`` path the compiled generators replaced, with its clamp."""
+    env = dict(_OLD_GEN_FUNCS)
+    env["i"] = i
+    value = float(eval(compile(expr, "<tail generator>", "eval"), {"__builtins__": {}}, env))
+    return min(0.5, max(0.0, value))
+
+
+NAN = "(1e308*10 - 1e308*10)"
+
+
+@pytest.mark.parametrize(
+    "generator, cert",
+    [
+        ("0.5", ("constant", 0.5, 1)),
+        ("0.25", ("constant", 0.25, 1)),
+        ("0.5/i", ("harmonic", 0.5, 1)),
+        ("0.5/sqrt(i)", ("harmonic", 0.5, 1)),
+        ("0.49123456789/sqrt(i)", ("harmonic", 0.49123456789, 1)),
+        ("min(0.5, 2/i)", ("harmonic", 2.0, 4)),
+        ("0.25 + 0.2*sin(i)", ("constant", 0.05, 1)),
+        ("0.3+0.2*sin(i)**2", ("constant", 0.3, 1)),
+        ("0.2718281828+0.15/i", ("constant", 0.2718281828, 1)),
+        ("abs(cos(i))/(2 + log2(i)) + exp(-i)/e", ("harmonic", 1e-3, 1)),
+        ("max(floor(i/3) % 2 * 0.3, ceil(i % 5)/20) + log(i)/pi/1e4", ("constant", 1e-3, 40)),
+        ("0.25 if i >= 40 else -0.0", ("constant", 0.25, 40)),  # -0.0 clamps to +0.0
+        (f"{NAN} if i == 40 else 0.25", ("constant", 0.25, 41)),  # NaN clamps to +0.0
+        ("0.25 if i > 3 and not i % 7 == 0 or i < 2 else 0.5 * (i > 0)", ("constant", 0.25, 1)),
+    ],
+)
+def test_compiled_generator_terms_match_eval_reference(generator, cert):
+    low = DivergentLow(generator, Certificate(*cert))
+    high = low.complement()
+    for i in range(1, 5001):
+        want = _reference_g(generator, i)
+        assert low.term(i).hex() == want.hex(), i
+        assert high.term(i).hex() == (1.0 - want).hex(), i
+
+
+@pytest.mark.parametrize(
+    "generator",
+    [
+        "().__class__.__mro__[1].__subclasses__() and 0.25",
+        "(0.25).real",
+        "[0.25][0]",
+        "'0.25'",
+        "(lambda: 0.25)()",
+        "[0.25 for j in (1,)][0]",
+        "(j := 0.25)",
+        "min(0.5, 0.25, key=abs)",
+        "min(*(0.5, 0.25))",
+        "__import__('os') and 0.25",
+        "float(0.25)",
+        "pi(0.25)",
+        "i(0.25)",
+        "j + 0.25",
+        "True and 0.25",
+        "0.25 + 0j",
+        "i & 0 or 0.25",
+        "0.25 if i in (1, 2) else 0.25",
+        "0.25; 1",
+        "\x00",
+        "-" * 5000 + "0.25",
+    ],
+)
+def test_generator_whitelist_rejects(generator):
+    with pytest.raises(TailCertificateError):
+        DivergentLow(generator, Certificate("constant", 0.1))
+
+
+def test_compiled_generator_stays_out_of_equality_and_wire_form():
+    a = DivergentLow("0.5/sqrt(i)", Certificate("harmonic", 0.5))
+    b = DivergentLow("0.5/sqrt(i)", Certificate("harmonic", 0.5))
+    assert a == b and hash(a) == hash(b) and a.to_obj() == b.to_obj()
+    assert set(a.to_obj()) == {"kind", "generator", "certificate"}
+    copy = pickle.loads(pickle.dumps(a))
+    assert copy == a and copy.term(9) == a.term(9)
+
+
+def test_readme_lists_exactly_the_generator_names():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    line = next(line for line in readme.splitlines() if "Generator names:" in line)
+    listed = re.findall(r"`(\w+)`", line.partition("Generator names:")[2].partition("(")[0])
+    assert listed == sorted(_GEN_FUNCS)
