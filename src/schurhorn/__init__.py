@@ -5,219 +5,27 @@ synthesises Hermitian matrices with a prescribed diagonal and spectrum,
 builds finite projections with a prescribed diagonal, and truncates the
 infinite-dimensional construction for finitely described sequences --
 including the integer-gap obstruction that rules some sequences out.
+
+Each module owns its exports in its ``__all__``; the package re-exports
+their union.
 """
 
-from .carpenter import (
-    BudgetExhaustedError,
-    Feasibility,
-    KadisonReport,
-    MonotoneSelection,
-    MonotoneSelectionError,
-    TruncatedProjection,
-    VerificationReport,
-    block_projection_from_partition,
-    build_case_a,
-    build_case_b,
-    chebyshev_coefficients,
-    feasibility,
-    kadison_sums,
-    monotone_divergent_subsequence,
-    projection_increment_norms,
-    projection_with_cotrace,
-    projection_with_trace,
-    verify_truncation,
-)
-from .io import (
-    FormatError,
-    load_matrix,
-    load_plan,
-    load_sequence_spec,
-    load_truncated_projection,
-    load_vector,
-    matrix_from_obj,
-    matrix_to_obj,
-    plan_from_obj,
-    plan_to_obj,
-    save_matrix,
-    save_plan,
-    save_sequence_spec,
-    save_truncated_projection,
-    save_vector,
-    spec_from_obj,
-    spec_to_obj,
-    truncated_projection_from_obj,
-    truncated_projection_to_obj,
-    vector_from_obj,
-    vector_to_obj,
-)
-from .linalg import (
-    INTEGER_TOL,
-    STRUCTURAL_TOL,
-    ConvergenceError,
-    DimensionMismatchError,
-    adjoint,
-    as_matrix,
-    conjugate_by,
-    diagonal,
-    hermitian_eigenvalues,
-    hermitian_residual,
-    is_hermitian,
-    is_projection,
-    is_unitary,
-    matmul,
-    projection_entry_excess,
-    projection_residual,
-    unitary_residual,
-)
-from .majorization import (
-    MajorizationError,
-    TTransform,
-    TTransformPlan,
-    apply_doubly_stochastic,
-    apply_t_transform,
-    as_vector,
-    decompose_t_transforms,
-    doubly_stochastic_residual,
-    flag_majorant,
-    majorizes,
-    majorizes_by_absolute_sums,
-    orthostochastic_from_unitary,
-    replay_t_transform_plan,
-    verify_concentration,
-)
-from .schur import (
-    InfeasibleDiagonalError,
-    SchurCheckResult,
-    SynthesisResult,
-    apply_t_transform_unitarily,
-    carpenter_finite,
-    conjugate_to_diagonal,
-    kadison_rotation,
-    schur_check,
-    synthesize_hermitian,
-)
-from .sequences import (
-    Certificate,
-    DivergentHigh,
-    DivergentLow,
-    GeometricHigh,
-    GeometricLow,
-    Interleave,
-    OneTail,
-    SequenceSpec,
-    SideSums,
-    TailCertificateError,
-    ZeroTail,
-    complement,
-    sequence_total,
-    side_index_count,
-    side_indices,
-    term,
-)
+from . import carpenter, io, linalg, majorization, schur, sequences
+from .carpenter import *
+from .io import *
+from .linalg import *
+from .majorization import *
+from .schur import *
+from .sequences import *
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # linalg
-    "STRUCTURAL_TOL",
-    "INTEGER_TOL",
-    "DimensionMismatchError",
-    "ConvergenceError",
-    "as_matrix",
-    "matmul",
-    "adjoint",
-    "conjugate_by",
-    "hermitian_residual",
-    "unitary_residual",
-    "projection_residual",
-    "is_hermitian",
-    "is_unitary",
-    "is_projection",
-    "diagonal",
-    "hermitian_eigenvalues",
-    "projection_entry_excess",
-    # majorization
-    "MajorizationError",
-    "TTransform",
-    "TTransformPlan",
-    "as_vector",
-    "majorizes",
-    "majorizes_by_absolute_sums",
-    "apply_t_transform",
-    "decompose_t_transforms",
-    "replay_t_transform_plan",
-    "doubly_stochastic_residual",
-    "apply_doubly_stochastic",
-    "flag_majorant",
-    "verify_concentration",
-    "orthostochastic_from_unitary",
-    # schur
-    "InfeasibleDiagonalError",
-    "SynthesisResult",
-    "SchurCheckResult",
-    "kadison_rotation",
-    "apply_t_transform_unitarily",
-    "synthesize_hermitian",
-    "conjugate_to_diagonal",
-    "carpenter_finite",
-    "schur_check",
-    # sequences
-    "Certificate",
-    "ZeroTail",
-    "OneTail",
-    "GeometricLow",
-    "GeometricHigh",
-    "Interleave",
-    "DivergentLow",
-    "DivergentHigh",
-    "SequenceSpec",
-    "SideSums",
-    "TailCertificateError",
-    "term",
-    "complement",
-    "side_index_count",
-    "side_indices",
-    "sequence_total",
-    # io
-    "FormatError",
-    "matrix_to_obj",
-    "matrix_from_obj",
-    "vector_to_obj",
-    "vector_from_obj",
-    "plan_to_obj",
-    "plan_from_obj",
-    "spec_to_obj",
-    "spec_from_obj",
-    "truncated_projection_to_obj",
-    "truncated_projection_from_obj",
-    "load_matrix",
-    "save_matrix",
-    "load_vector",
-    "save_vector",
-    "load_plan",
-    "save_plan",
-    "load_sequence_spec",
-    "save_sequence_spec",
-    "load_truncated_projection",
-    "save_truncated_projection",
-    # carpenter
-    "Feasibility",
-    "KadisonReport",
-    "TruncatedProjection",
-    "MonotoneSelection",
-    "MonotoneSelectionError",
-    "VerificationReport",
-    "BudgetExhaustedError",
-    "kadison_sums",
-    "feasibility",
-    "build_case_b",
-    "build_case_a",
-    "projection_with_trace",
-    "projection_with_cotrace",
-    "chebyshev_coefficients",
-    "monotone_divergent_subsequence",
-    "block_projection_from_partition",
-    "projection_increment_norms",
-    "verify_truncation",
+    *linalg.__all__,
+    *majorization.__all__,
+    *schur.__all__,
+    *sequences.__all__,
+    *io.__all__,
+    *carpenter.__all__,
 ]

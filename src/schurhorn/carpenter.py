@@ -26,7 +26,7 @@ import enum
 import math
 from bisect import bisect_left, bisect_right
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from statistics import median
 
 import numpy as np
@@ -38,7 +38,6 @@ from .sequences import (
     BudgetExhaustedError,
     SequenceSpec,
     SideSums,
-    TailCertificateError,
     complement,
     sequence_total,
     side_index_count,
@@ -52,15 +51,13 @@ __all__ = [
     "TruncatedProjection",
     "MonotoneSelection",
     "MonotoneSelectionError",
-    "BudgetExhaustedError",
-    "TailCertificateError",
+    "VerificationReport",
     "kadison_sums",
     "feasibility",
     "build_case_b",
     "build_case_a",
     "projection_with_trace",
     "projection_with_cotrace",
-    "chebyshev_coefficients",
     "monotone_divergent_subsequence",
     "block_projection_from_partition",
     "projection_increment_norms",
@@ -162,6 +159,11 @@ class TruncatedProjection:
     diagonal_map: tuple[int | None, ...]
     covered: tuple[int, ...]
     residual_bound: float
+
+
+def _complemented(p: TruncatedProjection) -> TruncatedProjection:
+    """``I - P`` with the same bookkeeping: a witness for the complemented sequence."""
+    return replace(p, matrix=np.eye(p.matrix.shape[0], dtype=np.complex128) - p.matrix)
 
 
 class _SideStream:
@@ -305,41 +307,7 @@ def build_case_b(
                 residual_bound=6.0 * 2.0**-k,
             )
         )
-    if complemented:
-        results = [
-            TruncatedProjection(
-                matrix=np.eye(p.matrix.shape[0], dtype=np.complex128) - p.matrix,
-                depth=p.depth,
-                diagonal_map=p.diagonal_map,
-                covered=p.covered,
-                residual_bound=p.residual_bound,
-            )
-            for p in results
-        ]
-    return results
-
-
-def chebyshev_coefficients(values, delta: float) -> tuple[int, tuple[float, ...]]:
-    """Smallest head of ``values`` whose sum reaches ``delta``, with weights.
-
-    Returns ``(n, (v_1/s, ..., v_n/s))`` where ``n`` is minimal with
-    ``s = v_1 + ... + v_n >= delta``.  The weights split a perturbation of
-    total size ``delta`` proportionally, so entry ``j`` absorbs ``w_j * delta``
-    without leaving ``[0, v_j]``.
-    """
-    if not delta > 0.0:
-        raise ValueError("delta must be positive")
-    picked: list[float] = []
-    total = 0.0
-    for v in values:
-        v = float(v)
-        if v < 0.0:
-            raise ValueError("values must be non-negative")
-        picked.append(v)
-        total += v
-        if total >= delta:
-            return len(picked), tuple(v / total for v in picked)
-    raise ValueError(f"values sum to {total!r} and never reach delta={delta!r}")
+    return [_complemented(p) for p in results] if complemented else results
 
 
 class MonotoneSelectionError(RuntimeError):
@@ -599,15 +567,14 @@ def build_case_a(
         diagonal_map.extend(idx for idx, _, _ in block)
     uncovered = {blocks[-1][p][0] for p in up_parts[-1]}
     covered = tuple(sorted(set(diagonal_map) - uncovered))
-    if complemented:
-        matrix = np.eye(matrix.shape[0], dtype=np.complex128) - matrix
-    return TruncatedProjection(
+    result = TruncatedProjection(
         matrix=matrix,
         depth=depth,
         diagonal_map=tuple(diagonal_map),
         covered=covered,
         residual_bound=math.inf,
     )
+    return _complemented(result) if complemented else result
 
 
 def projection_with_trace(
@@ -644,14 +611,7 @@ def projection_with_cotrace(
     the result, so ``trace(I - P)`` lands within ``trace_tol`` of the integer
     complement total.
     """
-    flipped = projection_with_trace(complement(spec), trace_tol, budget=budget)
-    return TruncatedProjection(
-        matrix=np.eye(flipped.matrix.shape[0], dtype=np.complex128) - flipped.matrix,
-        depth=flipped.depth,
-        diagonal_map=flipped.diagonal_map,
-        covered=flipped.covered,
-        residual_bound=flipped.residual_bound,
-    )
+    return _complemented(projection_with_trace(complement(spec), trace_tol, budget=budget))
 
 
 def projection_increment_norms(projections) -> list[tuple[int, int, float]]:
@@ -693,11 +653,15 @@ def verify_truncation(
     truncated: TruncatedProjection,
     tol: float = STRUCTURAL_TOL,
 ) -> VerificationReport:
-    """Re-verify a truncation: projection axioms, covered diagonal, entry bounds."""
+    """Re-verify a truncation: projection axioms, covered diagonal, entry bounds.
+
+    A covered index that sits at no matrix position cannot be checked, so it
+    counts as an infinite diagonal error.
+    """
     p = truncated.matrix
     proj_res = projection_residual(p)
     covered = set(truncated.covered)
-    diag_err = 0.0
+    diag_err = math.inf if covered - set(truncated.diagonal_map) else 0.0
     for pos, idx in enumerate(truncated.diagonal_map):
         if idx is not None and idx in covered:
             diag_err = max(diag_err, abs(p[pos, pos].real - term(spec, idx)))

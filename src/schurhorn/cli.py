@@ -73,6 +73,12 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _max_gap(a, b) -> float:
+    """Largest entrywise ``|a - b|`` (0.0 for empty operands)."""
+    gap = np.abs(a - b)
+    return float(np.max(gap)) if gap.size else 0.0
+
+
 def _emit(pairs, args) -> None:
     if getattr(args, "csv", False):
         print(",".join(key for key, _ in pairs))
@@ -96,7 +102,7 @@ def _cmd_majorize(args) -> int:
         plan = decompose_t_transforms(x, y, args.tol)
         save_plan(args.decompose, plan)
         replay = replay_t_transform_plan(plan, y)
-        replay_error = float(np.max(np.abs(replay - x))) if x.size else 0.0
+        replay_error = _max_gap(replay, x)
         pairs += [("transforms", len(plan.transforms)), ("replay_error", replay_error)]
     _emit(pairs, args)
     return 0 if ok else 1
@@ -109,9 +115,9 @@ def _cmd_synth(args) -> int:
     save_matrix(args.out, result.matrix)
     if args.unitary:
         save_matrix(args.unitary, result.unitary)
-    diag_error = float(np.max(np.abs(np.diag(result.matrix) - x))) if x.size else 0.0
+    diag_error = _max_gap(np.diag(result.matrix), x)
     eigs = hermitian_eigenvalues(result.matrix)
-    spectrum_error = float(np.max(np.abs(eigs - np.sort(y)))) if y.size else 0.0
+    spectrum_error = _max_gap(eigs, np.sort(y))
     _emit(
         [
             ("n", x.size),
@@ -129,7 +135,7 @@ def _cmd_carpenter(args) -> int:
     d = load_vector(args.diagonal)
     p = carpenter_finite(d, args.tol)
     save_matrix(args.out, p)
-    diag_error = float(np.max(np.abs(np.diag(p) - d))) if d.size else 0.0
+    diag_error = _max_gap(np.diag(p), d)
     _emit(
         [
             ("n", d.size),
@@ -202,7 +208,7 @@ def _cmd_verify(args) -> int:
         x = load_vector(args.diagonal)
         if x.size != m.shape[0]:
             raise FormatError(f"diagonal length {x.size} does not match n={m.shape[0]}")
-        diag_error = float(np.max(np.abs(np.diag(m) - x))) if x.size else 0.0
+        diag_error = _max_gap(np.diag(m), x)
         pairs.append(("diagonal_error", diag_error))
         ok = ok and diag_error <= args.tol
     if args.spectrum:
@@ -210,7 +216,7 @@ def _cmd_verify(args) -> int:
         if y.size != m.shape[0]:
             raise FormatError(f"spectrum length {y.size} does not match n={m.shape[0]}")
         eigs = hermitian_eigenvalues(m)
-        spectrum_error = float(np.max(np.abs(eigs - np.sort(y)))) if y.size else 0.0
+        spectrum_error = _max_gap(eigs, np.sort(y))
         pairs.append(("spectrum_error", spectrum_error))
         ok = ok and spectrum_error <= args.tol
     pairs.append(("ok", ok))

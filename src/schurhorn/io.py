@@ -113,6 +113,16 @@ def _all_numbers(values) -> bool:
     )
 
 
+def _one_based(values, label: str, kind: str = "a 1-based index", nullable: bool = False):
+    """``values`` as a tuple after checking each is a 1-based integer (or null if ``nullable``)."""
+    for pos, idx in enumerate(values):
+        if nullable and idx is None:
+            continue
+        if isinstance(idx, bool) or not isinstance(idx, int) or idx < 1:
+            raise FormatError(f"{label}[{pos}] must be {'null or ' if nullable else ''}{kind}")
+    return tuple(values)
+
+
 def _finite_floats(values, count: int, context: str) -> np.ndarray:
     """float64 array of ``count`` type-checked numbers; out-of-range or non-finite raises."""
     try:
@@ -192,19 +202,12 @@ def plan_from_obj(obj) -> TTransformPlan:
             transforms.append(TTransform(j - 1, k - 1, t))
         except ValueError as exc:
             raise FormatError(f"plan transform {pos}: {exc}") from exc
-    source = _require(obj, "source_order", list, "plan")
-    placement = _require(obj, "placement", list, "plan")
-
-    def positions(name, raw_list):
-        out = []
-        for pos, p in enumerate(raw_list):
-            if isinstance(p, bool) or not isinstance(p, int) or p < 1:
-                raise FormatError(f"plan {name}[{pos}] must be a 1-based integer")
-            out.append(p - 1)
-        return tuple(out)
-
-    return TTransformPlan(tuple(transforms), positions("source_order", source),
-                          positions("placement", placement))
+    source, placement = (
+        _one_based(_require(obj, name, list, "plan"), f"plan {name}", "a 1-based integer")
+        for name in ("source_order", "placement")
+    )
+    return TTransformPlan(tuple(transforms), tuple(p - 1 for p in source),
+                          tuple(p - 1 for p in placement))
 
 
 _TAIL_KINDS = {cls.kind: cls for cls in get_args(TailRule)}
@@ -258,7 +261,7 @@ def truncated_projection_to_obj(t: TruncatedProjection) -> dict:
     obj["depth"] = t.depth
     obj["covered"] = list(t.covered)
     obj["residual_bound"] = t.residual_bound
-    obj["permutation"] = [i if i is not None else None for i in t.diagonal_map]
+    obj["permutation"] = list(t.diagonal_map)
     return obj
 
 
@@ -270,26 +273,15 @@ def truncated_projection_from_obj(obj) -> TruncatedProjection:
     permutation = _require(obj, "permutation", list, "truncated projection")
     if len(permutation) != matrix.shape[0]:
         raise FormatError("truncated projection: permutation length must match n")
-    diagonal_map = []
-    for pos, idx in enumerate(permutation):
-        if idx is None:
-            diagonal_map.append(None)
-        elif isinstance(idx, bool) or not isinstance(idx, int) or idx < 1:
-            raise FormatError(
-                f"truncated projection: permutation[{pos}] must be null or a 1-based index"
-            )
-        else:
-            diagonal_map.append(idx)
-    for pos, idx in enumerate(covered):
-        if isinstance(idx, bool) or not isinstance(idx, int) or idx < 1:
-            raise FormatError(f"truncated projection: covered[{pos}] must be a 1-based index")
+    diagonal_map = _one_based(permutation, "truncated projection: permutation", nullable=True)
+    covered = _one_based(covered, "truncated projection: covered")
     if depth < 1 or (bound != math.inf and bound < 0):
         raise FormatError("truncated projection: depth must be >= 1 and bound non-negative")
     return TruncatedProjection(
         matrix=matrix,
         depth=depth,
-        diagonal_map=tuple(diagonal_map),
-        covered=tuple(covered),
+        diagonal_map=diagonal_map,
+        covered=covered,
         residual_bound=bound,
     )
 

@@ -1,4 +1,4 @@
-"""Dense complex matrix helpers and spectral predicates.
+"""Dense complex matrix helpers and structural checks.
 
 Matrices are plain numpy arrays with ``complex128`` entries.  Every routine
 treats its inputs as immutable and returns fresh arrays, so callers may pass
@@ -9,6 +9,20 @@ views without worrying about aliasing.  Eigenvalues come from LAPACK
 from __future__ import annotations
 
 import numpy as np
+
+__all__ = [
+    "STRUCTURAL_TOL",
+    "INTEGER_TOL",
+    "DimensionMismatchError",
+    "ConvergenceError",
+    "as_matrix",
+    "hermitian_residual",
+    "unitary_residual",
+    "projection_residual",
+    "diagonal",
+    "hermitian_eigenvalues",
+    "projection_entry_excess",
+]
 
 # Max-entry tolerance for structural predicates (Hermitian / unitary / projection).
 STRUCTURAL_TOL = 1e-10
@@ -37,29 +51,6 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def matmul(a, b) -> np.ndarray:
-    """Product of two square matrices of matching dimension."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape != b.shape:
-        raise DimensionMismatchError(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
-
-
-def adjoint(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_matrix(a).conj().T.copy()
-
-
-def conjugate_by(u, a) -> np.ndarray:
-    """Return ``U A U*`` (same dimension required)."""
-    u = as_matrix(u)
-    a = as_matrix(a)
-    if u.shape != a.shape:
-        raise DimensionMismatchError(f"cannot conjugate {a.shape} by {u.shape}")
-    return u @ a @ u.conj().T
-
-
 def hermitian_residual(a) -> float:
     """Max-entry norm of ``A - A*``."""
     a = as_matrix(a)
@@ -79,18 +70,6 @@ def projection_residual(p) -> float:
     """Larger of the max-entry norms of ``P^2 - P`` and ``P - P*``."""
     p = as_matrix(p)
     return float(max(np.max(np.abs(p @ p - p)), np.max(np.abs(p - p.conj().T))))
-
-
-def is_hermitian(a, tol: float = STRUCTURAL_TOL) -> bool:
-    return hermitian_residual(a) <= tol
-
-
-def is_unitary(u, tol: float = STRUCTURAL_TOL) -> bool:
-    return unitary_residual(u) <= tol
-
-
-def is_projection(p, tol: float = STRUCTURAL_TOL) -> bool:
-    return projection_residual(p) <= tol
 
 
 def diagonal(a, tol: float = STRUCTURAL_TOL) -> np.ndarray:

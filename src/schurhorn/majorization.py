@@ -14,7 +14,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import INTEGER_TOL, STRUCTURAL_TOL, unitary_residual
+__all__ = [
+    "MajorizationError",
+    "TTransform",
+    "TTransformPlan",
+    "as_vector",
+    "majorizes",
+    "majorizes_by_absolute_sums",
+    "apply_t_transform",
+    "decompose_t_transforms",
+    "replay_t_transform_plan",
+    "verify_concentration",
+]
 
 
 class MajorizationError(ValueError):
@@ -185,51 +196,6 @@ def decompose_t_transforms(x, y, tol: float = 1e-9) -> TTransformPlan:
     return TTransformPlan(tuple(transforms), tuple(source_order.tolist()), tuple(placement))
 
 
-def doubly_stochastic_residual(b) -> float:
-    """Worst violation of non-negativity and unit row/column sums."""
-    m = np.asarray(b, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    neg = max(0.0, float(-m.min()))
-    rows = float(np.max(np.abs(m.sum(axis=1) - 1.0)))
-    cols = float(np.max(np.abs(m.sum(axis=0) - 1.0)))
-    return max(neg, rows, cols)
-
-
-def apply_doubly_stochastic(b, y, tol: float = STRUCTURAL_TOL) -> np.ndarray:
-    """Multiply a doubly stochastic matrix into ``y`` after validating it."""
-    m = np.asarray(b, dtype=float)
-    v = as_vector(y)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] != v.size:
-        raise ValueError(f"shape mismatch: matrix {m.shape} against vector {v.size}")
-    residual = doubly_stochastic_residual(m)
-    if residual > tol:
-        raise ValueError(f"matrix is not doubly stochastic (residual {residual:.3e})")
-    return m @ v
-
-
-def flag_majorant(x, integer_tol: float = INTEGER_TOL) -> np.ndarray:
-    """The staircase vector (1, ..., 1, delta, 0, ..., 0) majorising ``x``.
-
-    Requires entries in [0, 1].  With ``s = sum(x)``, the result carries
-    ``floor(s)`` ones followed by the fractional part (dropped when it is
-    within ``integer_tol`` of zero) and zero padding; it always majorises
-    ``x`` and has the same total.
-    """
-    v = as_vector(x)
-    if v.size and (v.min() < -1e-12 or v.max() > 1.0 + 1e-12):
-        raise ValueError("flag_majorant needs entries in [0, 1]")
-    n = v.size
-    s = float(v.sum())
-    k = min(n, int(np.floor(s + integer_tol)))
-    delta = s - k
-    out = np.zeros(n)
-    out[:k] = 1.0
-    if delta > integer_tol:
-        out[k] = delta
-    return out
-
-
 def verify_concentration(x, x_up, y, y_down, tol: float = 1e-9) -> bool:
     """Check the hypotheses of the concentration comparison.
 
@@ -252,18 +218,3 @@ def verify_concentration(x, x_up, y, y_down, tol: float = 1e-9) -> bool:
         return False
     total_gap = abs(float(xu.sum() + yd.sum() - x.sum() - y.sum()))
     return total_gap <= tol
-
-
-def orthostochastic_from_unitary(u, tol: float = STRUCTURAL_TOL) -> np.ndarray:
-    """Entrywise squared moduli of a unitary matrix.
-
-    The result ``B`` is doubly stochastic, and whenever ``A = U diag(y) U*``
-    the diagonal of ``A`` equals ``B y``.
-    """
-    m = np.asarray(u, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    residual = unitary_residual(m)
-    if residual > tol:
-        raise ValueError(f"matrix is not unitary (residual {residual:.3e})")
-    return np.abs(m) ** 2

@@ -10,19 +10,22 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
-from .linalg import INTEGER_TOL, STRUCTURAL_TOL
-from .majorization import (
-    TTransform,
-    as_vector,
-    decompose_t_transforms,
-    majorizes,
-)
+from .linalg import INTEGER_TOL
+from .majorization import as_vector, decompose_t_transforms
+
+__all__ = [
+    "InfeasibleDiagonalError",
+    "SynthesisResult",
+    "kadison_rotation",
+    "synthesize_hermitian",
+    "conjugate_to_diagonal",
+    "carpenter_finite",
+]
 
 _PHASE_TOL = 1e-13
 
@@ -127,22 +130,6 @@ def _mix_rows_to(a: np.ndarray, rows, x, tol: float, u: np.ndarray | None = None
         u[rows, :] = u[src, :]
 
 
-def apply_t_transform_unitarily(a, tr: TTransform) -> tuple[np.ndarray, np.ndarray]:
-    """Conjugate ``A`` so its diagonal undergoes the given T-transform.
-
-    Returns ``(V A V*, V)`` where ``V`` is the identity outside rows
-    ``(tr.j, tr.k)``; the new diagonal is ``apply_t_transform(tr, diag(A))``
-    and the spectrum is untouched.
-    """
-    a = linalg.as_matrix(a).copy()
-    n = a.shape[0]
-    if tr.j >= n or tr.k >= n:
-        raise ValueError(f"positions ({tr.j}, {tr.k}) out of range for dimension {n}")
-    v = np.eye(n, dtype=np.complex128)
-    _rotate(a, v, tr.j, tr.k, tr.t)
-    return a, v
-
-
 def synthesize_hermitian(x, y, tol: float = 1e-9) -> SynthesisResult:
     """Hermitian matrix with diagonal ``x`` and spectrum ``y`` (needs x majorised by y).
 
@@ -196,27 +183,3 @@ def carpenter_finite(a, tol: float = INTEGER_TOL) -> np.ndarray:
     target[:m] = 1.0
     result = synthesize_hermitian(v, target, tol=max(tol, 1e-9))
     return result.matrix
-
-
-SchurCheckResult = namedtuple("SchurCheckResult", ["diagonal", "eigenvalues", "ok"])
-
-
-def schur_check(a, tol: float = 1e-8) -> SchurCheckResult:
-    """Verify that the diagonal of a Hermitian matrix is majorised by its spectrum."""
-    a = linalg.as_matrix(a)
-    d = linalg.diagonal(a)
-    eigs = linalg.hermitian_eigenvalues(a)
-    return SchurCheckResult(d, eigs, majorizes(d, eigs, tol))
-
-
-__all__ = [
-    "InfeasibleDiagonalError",
-    "SynthesisResult",
-    "SchurCheckResult",
-    "kadison_rotation",
-    "apply_t_transform_unitarily",
-    "synthesize_hermitian",
-    "conjugate_to_diagonal",
-    "carpenter_finite",
-    "schur_check",
-]

@@ -24,6 +24,27 @@ import math
 from dataclasses import dataclass
 from typing import Union
 
+__all__ = [
+    "TailCertificateError",
+    "BudgetExhaustedError",
+    "Certificate",
+    "SideSums",
+    "ZeroTail",
+    "OneTail",
+    "GeometricLow",
+    "GeometricHigh",
+    "Interleave",
+    "DivergentLow",
+    "DivergentHigh",
+    "TailRule",
+    "SequenceSpec",
+    "term",
+    "complement",
+    "side_index_count",
+    "side_indices",
+    "sequence_total",
+]
+
 _SAMPLE_INDICES = tuple(range(1, 33)) + tuple(2**k for k in range(6, 16))
 _BOUNDARY_FUZZ = 1e-12
 

@@ -26,7 +26,6 @@ from schurhorn import (
     block_projection_from_partition,
     build_case_a,
     build_case_b,
-    chebyshev_coefficients,
     feasibility,
     kadison_sums,
     monotone_divergent_subsequence,
@@ -141,18 +140,6 @@ def test_case_b_rejections():
     assert exc.value.defect == pytest.approx(0.5)
     with pytest.raises(BudgetExhaustedError):
         build_case_b(HALF_INTERLEAVE, depth=8, budget=2)
-
-
-def test_chebyshev_coefficients_frozen():
-    n, weights = chebyshev_coefficients([0.1, 0.2, 0.3, 0.4], 0.55)
-    assert n == 3
-    assert np.allclose(weights, [1 / 6, 1 / 3, 1 / 2], atol=1e-15)
-    with pytest.raises(ValueError):
-        chebyshev_coefficients([0.1], 0.0)
-    with pytest.raises(ValueError):
-        chebyshev_coefficients([0.1, 0.2], 1.0)
-    with pytest.raises(ValueError):
-        chebyshev_coefficients([-0.1, 1.0], 0.5)
 
 
 def test_monotone_divergent_subsequence_rules():

@@ -200,6 +200,14 @@ def test_verify_failure_exits_one(tmp_path, capsys):
     code = main(["verify", str(out), "--diagonal", wrong])
     capsys.readouterr()
     assert code == 1
+    # A truncation claiming covered indices that sit at no matrix position.
+    spec = _write_spec(tmp_path / "spec.json", {"prefix": [0.5, 0.5], "tail": {"kind": "zero"}})
+    artifact = json.loads(out.read_text())
+    artifact.update(depth=1, residual_bound=1.0, permutation=[1, 2])
+    for covered, want in (([1, 2], 0), ([1, 2, 3, 4, 5, 99], 1)):
+        forged = _write_spec(tmp_path / "t.json", {**artifact, "covered": covered})
+        assert main(["verify", forged, "--spec", spec]) == want
+        assert _kv(capsys)["ok"] == ("true" if want == 0 else "false")
 
 
 def test_malformed_inputs_exit_two(tmp_path, capsys):

@@ -6,16 +6,10 @@ import pytest
 from schurhorn import (
     ConvergenceError,
     DimensionMismatchError,
-    adjoint,
     as_matrix,
-    conjugate_by,
     diagonal,
     hermitian_eigenvalues,
     hermitian_residual,
-    is_hermitian,
-    is_projection,
-    is_unitary,
-    matmul,
     projection_entry_excess,
     projection_residual,
     save_matrix,
@@ -25,18 +19,6 @@ from schurhorn import (
 from schurhorn.cli import main
 
 from conftest import random_hermitian, random_unitary
-
-
-def _matmul_oracle(a, b):
-    n = a.shape[0]
-    out = np.zeros((n, n), dtype=np.complex128)
-    for i in range(n):
-        for j in range(n):
-            acc = 0.0 + 0.0j
-            for k in range(n):
-                acc += a[i, k] * b[k, j]
-            out[i, j] = acc
-    return out
 
 
 def _cubic_eigen_oracle(a):
@@ -50,58 +32,20 @@ def _cubic_eigen_oracle(a):
     return np.sort(roots.real)
 
 
-def test_matmul_matches_triple_loop():
-    rng = np.random.default_rng(101)
-    for _ in range(20):
-        n = int(rng.integers(1, 6))
-        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        b = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        assert np.max(np.abs(matmul(a, b) - _matmul_oracle(a, b))) <= 1e-9
-
-
-def test_matmul_associative():
-    rng = np.random.default_rng(102)
-    for _ in range(20):
-        n = int(rng.integers(1, 7))
-        a, b, c = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) for _ in range(3))
-        left = matmul(matmul(a, b), c)
-        right = matmul(a, matmul(b, c))
-        assert np.max(np.abs(left - right)) <= 1e-9
-
-
-def test_matmul_shape_checks():
-    with pytest.raises(DimensionMismatchError):
-        matmul(np.eye(2), np.eye(3))
-    with pytest.raises(DimensionMismatchError):
-        as_matrix(np.ones((2, 3)))
-    with pytest.raises(ValueError):
-        as_matrix(np.array([[np.nan, 0.0], [0.0, 1.0]]))
-
-
-def test_conjugation_preserves_trace_and_spectrum():
-    rng = np.random.default_rng(103)
-    for _ in range(10):
-        n = int(rng.integers(2, 7))
-        a = random_hermitian(rng, n)
-        u = random_unitary(rng, n)
-        b = conjugate_by(u, a)
-        assert abs(np.trace(b) - np.trace(a)) <= 1e-9
-        assert np.max(np.abs(np.linalg.eigvalsh(b) - np.linalg.eigvalsh(a))) <= 1e-9
-
-
 def test_adjoint_and_residuals():
     rng = np.random.default_rng(104)
     a = random_hermitian(rng, 5)
     assert hermitian_residual(a) == 0.0
-    assert is_hermitian(a)
-    assert np.max(np.abs(adjoint(a) - a)) == 0.0
+    assert np.max(np.abs(a.conj().T - a)) == 0.0
     u = random_unitary(rng, 5)
     assert unitary_residual(u) <= 1e-12
-    assert is_unitary(u, tol=1e-10)
     p = u[:, :2] @ u[:, :2].conj().T
     assert projection_residual(p) <= 1e-12
-    assert is_projection(p, tol=1e-10)
-    assert not is_projection(p + 0.01 * np.eye(5), tol=1e-10)
+    assert projection_residual(p + 0.01 * np.eye(5)) > 1e-10
+    with pytest.raises(DimensionMismatchError):
+        as_matrix(np.ones((2, 3)))
+    with pytest.raises(ValueError):
+        as_matrix(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
 FROZEN_EIGS = [

@@ -9,14 +9,10 @@ from schurhorn import (
     MajorizationError,
     TTransform,
     TTransformPlan,
-    apply_doubly_stochastic,
     apply_t_transform,
     decompose_t_transforms,
-    doubly_stochastic_residual,
-    flag_majorant,
     majorizes,
     majorizes_by_absolute_sums,
-    orthostochastic_from_unitary,
     replay_t_transform_plan,
     verify_concentration,
 )
@@ -25,7 +21,6 @@ from conftest import (
     majorizes_oracle,
     random_doubly_stochastic,
     random_majorized_pair,
-    random_unitary,
 )
 
 
@@ -168,7 +163,8 @@ def test_t_transform_matrix_is_doubly_stochastic_and_acts_right():
         j, k = rng.choice(n, size=2, replace=False)
         tr = TTransform(int(j), int(k), float(rng.random()))
         m = t_transform_matrix(tr, n)
-        assert doubly_stochastic_residual(m) == 0.0
+        assert m.min() >= 0.0
+        assert np.all(m.sum(axis=0) == 1.0) and np.all(m.sum(axis=1) == 1.0)
         v = rng.normal(size=n)
         assert np.max(np.abs(m @ v - apply_t_transform(tr, v))) <= 1e-12
 
@@ -248,32 +244,6 @@ def test_decompose_rejects_non_majorized():
         decompose_t_transforms([3.0, 0.0], [2.0, 1.0])
 
 
-def test_apply_doubly_stochastic_spreads_less():
-    rng = np.random.default_rng(204)
-    for _ in range(50):
-        n = int(rng.integers(2, 7))
-        b = random_doubly_stochastic(rng, n)
-        y = rng.normal(size=n) * 2
-        x = apply_doubly_stochastic(b, y)
-        assert majorizes_oracle(x, y)
-    with pytest.raises(ValueError):
-        apply_doubly_stochastic(np.array([[2.0, -1.0], [-1.0, 2.0]]), [1.0, 0.0])
-
-
-def test_flag_majorant_frozen_and_majorises():
-    out = flag_majorant([0.5, 0.5, 0.75, 0.25])
-    assert np.allclose(out, [1.0, 1.0, 0.0, 0.0], atol=0)
-    out = flag_majorant([0.3, 0.4])
-    assert np.allclose(out, [0.7, 0.0], atol=1e-12)
-    rng = np.random.default_rng(205)
-    for _ in range(50):
-        v = rng.uniform(0, 1, int(rng.integers(1, 8)))
-        f = flag_majorant(v)
-        assert majorizes_oracle(v, f, tol=1e-8)
-    with pytest.raises(ValueError):
-        flag_majorant([1.5])
-
-
 def test_verify_concentration_frozen():
     assert verify_concentration([0.5, 0.6], [0.7, 0.6], [0.2, 0.1], [0.1, 0.0])
     # raising a y entry above min(x) breaks the separation hypothesis
@@ -304,20 +274,6 @@ def test_verify_concentration_implies_majorization():
             np.concatenate([x, y]), np.concatenate([x_up, y_down]), tol=1e-8
         )
         hits += 1
-
-
-def test_orthostochastic_links_diagonal_to_spectrum():
-    rng = np.random.default_rng(207)
-    for _ in range(20):
-        n = int(rng.integers(2, 7))
-        u = random_unitary(rng, n)
-        b = orthostochastic_from_unitary(u)
-        assert doubly_stochastic_residual(b) <= 1e-10
-        y = rng.normal(size=n)
-        a = u @ np.diag(y) @ u.conj().T
-        assert np.max(np.abs(np.diag(a).real - b @ y)) <= 1e-9
-    with pytest.raises(ValueError):
-        orthostochastic_from_unitary(np.ones((2, 2)))
 
 
 def test_majorization_respects_convex_order():

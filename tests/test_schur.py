@@ -8,22 +8,19 @@ from schurhorn import (
     MajorizationError,
     TTransform,
     apply_t_transform,
-    apply_t_transform_unitarily,
     carpenter_finite,
     conjugate_to_diagonal,
     decompose_t_transforms,
-    hermitian_eigenvalues,
     hermitian_residual,
     kadison_rotation,
     projection_entry_excess,
     projection_residual,
-    schur_check,
     synthesize_hermitian,
     unitary_residual,
 )
+from schurhorn.schur import _rotate
 
 from conftest import (
-    majorizes_oracle,
     random_doubly_stochastic,
     random_hermitian,
     random_majorized_pair,
@@ -64,13 +61,16 @@ def test_kadison_rotation_validation():
 
 
 def test_apply_t_transform_unitarily_moves_diagonal_only():
+    # One in-place rotation on a dense Hermitian block, as in the Case-A repairs,
+    # with the pair in either order.
     rng = np.random.default_rng(302)
     for _ in range(40):
         n = int(rng.integers(2, 7))
         a = random_hermitian(rng, n)
-        j, k = sorted(rng.choice(n, size=2, replace=False))
+        j, k = rng.choice(n, size=2, replace=False)
         tr = TTransform(int(j), int(k), float(rng.random()))
-        b, v = apply_t_transform_unitarily(a, tr)
+        b, v = a.astype(np.complex128), np.eye(n, dtype=np.complex128)
+        _rotate(b, v, tr.j, tr.k, tr.t)
         assert unitary_residual(v) <= 1e-12
         want = apply_t_transform(tr, np.diag(a).real)
         assert np.max(np.abs(np.diag(b).real - want)) <= 1e-12
@@ -195,14 +195,3 @@ def test_carpenter_finite_random_diagonals():
         assert projection_residual(p) <= 1e-10
         assert np.max(np.abs(np.diag(p).real - d)) <= 1e-9
         assert projection_entry_excess(p) <= 1e-12
-
-
-def test_schur_check_on_random_hermitian():
-    rng = np.random.default_rng(306)
-    for _ in range(30):
-        n = int(rng.integers(1, 8))
-        a = random_hermitian(rng, n)
-        res = schur_check(a)
-        assert res.ok
-        assert majorizes_oracle(res.diagonal, res.eigenvalues, tol=1e-8)
-        assert np.max(np.abs(res.eigenvalues - hermitian_eigenvalues(a))) == 0.0
