@@ -300,7 +300,7 @@ def build_case_b(
         covered = tuple(sorted(i for i in rows if i is not None))
         results.append(
             TruncatedProjection(
-                matrix=matrix.copy(),
+                matrix=matrix,
                 depth=k,
                 diagonal_map=tuple(rows),
                 covered=covered,
@@ -655,13 +655,16 @@ def verify_truncation(
 ) -> VerificationReport:
     """Re-verify a truncation: projection axioms, covered diagonal, entry bounds.
 
-    A covered index that sits at no matrix position cannot be checked, so it
-    counts as an infinite diagonal error.
+    A covered index that sits at no matrix position cannot be checked, and
+    an index placed at several positions is no corner of one projection;
+    either counts as an infinite diagonal error.
     """
     p = truncated.matrix
     proj_res = projection_residual(p)
     covered = set(truncated.covered)
-    diag_err = math.inf if covered - set(truncated.diagonal_map) else 0.0
+    placed = [idx for idx in truncated.diagonal_map if idx is not None]
+    unique = set(placed)
+    diag_err = math.inf if covered - unique or len(unique) < len(placed) else 0.0
     for pos, idx in enumerate(truncated.diagonal_map):
         if idx is not None and idx in covered:
             diag_err = max(diag_err, abs(p[pos, pos].real - term(spec, idx)))

@@ -17,6 +17,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -224,7 +225,13 @@ def _cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every later one.
+
+    It holds no handlers: :func:`main` looks up ``_cmd_<command>`` in this
+    module on each call, so a replaced handler takes effect at once.
+    """
     parser = argparse.ArgumentParser(
         prog="schurhorn",
         description="Majorisation, prescribed-diagonal synthesis, and projection truncations.",
@@ -239,7 +246,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("y", help="vector JSON file (majorant)")
     p.add_argument("--decompose", metavar="PLAN", help="write the mixing plan JSON here")
     p.add_argument("--tol", type=float, default=1e-9)
-    p.set_defaults(handler=_cmd_majorize)
 
     p = sub.add_parser("synth", parents=[style], help="Hermitian with given diagonal and spectrum")
     p.add_argument("diagonal", help="vector JSON file (target diagonal)")
@@ -247,13 +253,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="write the matrix JSON here")
     p.add_argument("--unitary", help="write the conjugating unitary JSON here")
     p.add_argument("--tol", type=float, default=1e-9)
-    p.set_defaults(handler=_cmd_synth)
 
     p = sub.add_parser("carpenter", parents=[style], help="projection with given diagonal")
     p.add_argument("diagonal", help="vector JSON file (entries in [0, 1], integer sum)")
     p.add_argument("--out", required=True, help="write the projection JSON here")
     p.add_argument("--tol", type=float, default=1e-9)
-    p.set_defaults(handler=_cmd_carpenter)
 
     p = sub.add_parser("obstruction", parents=[style], help="classify a sequence at a threshold")
     p.add_argument("spec", help="sequence JSON file")
@@ -261,7 +265,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--build", metavar="OUT", help="write a truncated projection JSON here")
     p.add_argument("--depth", type=int, default=None)
     p.add_argument("--budget", type=int, default=100_000)
-    p.set_defaults(handler=_cmd_obstruction)
 
     p = sub.add_parser("verify", parents=[style], help="re-check an emitted artifact")
     p.add_argument("artifact", help="matrix or truncated-projection JSON file")
@@ -269,7 +272,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--diagonal", help="vector JSON the matrix diagonal should match")
     p.add_argument("--spectrum", help="vector JSON the matrix spectrum should match")
     p.add_argument("--tol", type=float, default=1e-8)
-    p.set_defaults(handler=_cmd_verify)
     return parser
 
 
@@ -284,9 +286,10 @@ _EXIT_CODES = (
 
 
 def main(argv=None) -> int:
+    """Run one subcommand and return its exit code; safe to call repeatedly."""
     args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        return globals()[f"_cmd_{args.command}"](args)
     except tuple(cls for cls, _ in _EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))

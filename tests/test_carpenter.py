@@ -97,6 +97,25 @@ def test_case_b_tower_frozen_first_step():
         assert report.ok, report
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [HALF_INTERLEAVE, SequenceSpec((), GeometricHigh(1.0, 0.5))],
+    ids=["interleave", "complemented"],
+)
+def test_case_b_tower_levels_are_independent_arrays(spec):
+    tower = build_case_b(spec, depth=6)
+    for k, p in enumerate(tower, start=1):
+        alone = build_case_b(spec, depth=k)[-1].matrix
+        assert p.matrix.tobytes() == alone.tobytes()
+    for i, p in enumerate(tower):
+        for q in tower[i + 1 :]:
+            assert not np.shares_memory(p.matrix, q.matrix)
+    # Levels built after level k leave it as it was.
+    deeper = build_case_b(spec, depth=8)
+    for p, q in zip(tower, deeper):
+        assert p.matrix.tobytes() == q.matrix.tobytes()
+
+
 def test_case_b_tower_increment_bounds():
     tower = build_case_b(HALF_INTERLEAVE, depth=8)
     for k, r, norm in projection_increment_norms(tower):

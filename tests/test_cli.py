@@ -208,6 +208,12 @@ def test_verify_failure_exits_one(tmp_path, capsys):
         forged = _write_spec(tmp_path / "t.json", {**artifact, "covered": covered})
         assert main(["verify", forged, "--spec", spec]) == want
         assert _kv(capsys)["ok"] == ("true" if want == 0 else "false")
+    # A truncation placing one sequence index at two matrix positions.
+    forged = _write_spec(tmp_path / "t.json", {**artifact, "permutation": [1, 1], "covered": [1]})
+    assert main(["verify", forged, "--spec", spec]) == 1
+    pairs = _kv(capsys)
+    assert pairs["diagonal_error"] == "inf"
+    assert pairs["ok"] == "false"
 
 
 def test_malformed_inputs_exit_two(tmp_path, capsys):
@@ -333,3 +339,46 @@ def test_csv_and_human_styles(tmp_path, capsys):
     assert main(["majorize", x, y, "--human"]) == 0
     out = capsys.readouterr().out
     assert "majorizes: true" in out
+
+
+def test_parser_built_once_across_calls(tmp_path, capsys):
+    x = _write_vector(tmp_path / "x.json", [1.0, 1.0])
+    y = _write_vector(tmp_path / "y.json", [2.0, 0.0])
+    cli._build_parser.cache_clear()
+    for _ in range(3):
+        assert main(["majorize", x, y]) == 0
+    assert main(["majorize", y, x]) == 1
+    capsys.readouterr()
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
+
+
+def test_no_argument_state_leaks_between_calls(tmp_path, capsys):
+    spec = _write_spec(tmp_path / "spec.json", INTERLEAVE_SPEC)
+    build = str(tmp_path / "tower.json")
+    assert main(["obstruction", spec, "--build", build, "--depth", "3"]) == 0
+    assert _kv(capsys)["depth"] == "3"
+    assert main(["obstruction", spec, "--build", build]) == 0
+    plain = _kv(capsys)
+    assert plain["depth"] == "6"
+    assert main(["obstruction", spec, "--build", build, "--csv"]) == 0
+    assert capsys.readouterr().out.splitlines()[0].startswith("alpha,a_f,")
+    assert main(["obstruction", spec, "--build", build]) == 0
+    assert _kv(capsys) == plain
+
+
+def test_usage_errors_after_a_successful_call(tmp_path, capsys):
+    x = _write_vector(tmp_path / "x.json", [1.0, 1.0])
+    assert main(["majorize", x, x]) == 0
+    capsys.readouterr()
+    for argv in (["majorize", x], ["obstruction", x, "--depth", "two"], ["nosuch"], []):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "usage: schurhorn" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: schurhorn verify")
+    assert "--spec SPEC" in out
