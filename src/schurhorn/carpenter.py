@@ -23,6 +23,7 @@ truncations of a witnessing projection:
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from bisect import bisect_left, bisect_right
 from collections import deque
@@ -38,6 +39,7 @@ from .sequences import (
     BudgetExhaustedError,
     SequenceSpec,
     SideSums,
+    _combine,
     complement,
     sequence_total,
     side_index_count,
@@ -63,6 +65,11 @@ __all__ = [
     "projection_increment_norms",
     "verify_truncation",
 ]
+
+_CHAIN_TOL = 1e-9  # tolerance of the builders' rotation chains
+_TRACE_TOL = 1e-8  # how far a projection_with_trace trace may miss its integer
+_SELECTION_SAMPLE = 4096  # leading terms that pick the Case-A selection rule
+_ORDER_SAMPLE = 2048  # leading terms that pick the side Case-A tries first
 
 
 class Feasibility(enum.Enum):
@@ -92,14 +99,6 @@ class KadisonReport:
     feasibility: Feasibility
 
 
-def _add_finite(base: float, side: float | None) -> float | None:
-    if side is None:
-        return None
-    if side == math.inf:
-        return math.inf
-    return base + side
-
-
 def kadison_sums(spec: SequenceSpec, alpha: float = 0.5, *, budget: int = 100_000) -> SideSums:
     """Side sums of the whole sequence (prefix plus tail) at ``alpha`` in (0, 1).
 
@@ -111,31 +110,29 @@ def kadison_sums(spec: SequenceSpec, alpha: float = 0.5, *, budget: int = 100_00
     prefix_low = sum(v for v in spec.prefix if v <= alpha)
     prefix_high = sum(1.0 - v for v in spec.prefix if v > alpha)
     return SideSums(
-        _add_finite(prefix_low, tail.low),
-        _add_finite(prefix_high, tail.high),
+        _combine(prefix_low, tail.low),
+        _combine(prefix_high, tail.high),
         tail.low_mass_infinite,
         tail.high_mass_infinite,
-        tail.total_divergent,
     )
 
 
 def feasibility(
     spec: SequenceSpec,
     alpha: float = 0.5,
-    integer_tol: float = INTEGER_TOL,
     *,
     budget: int = 100_000,
 ) -> KadisonReport:
     """Decide which construction (if any) applies to the sequence at ``alpha``."""
     sums = kadison_sums(spec, alpha, budget=budget)
     low, high = sums.low, sums.high
-    if low is None or high is None or low == math.inf or high == math.inf:
+    if sums.total_divergent:
         verdict = Feasibility.CASE_A
         defect = None
     else:
         diff = low - high
         defect = abs(diff - round(diff))
-        verdict = Feasibility.CASE_B if defect <= integer_tol else Feasibility.INFEASIBLE
+        verdict = Feasibility.CASE_B if defect <= INTEGER_TOL else Feasibility.INFEASIBLE
     return KadisonReport(
         alpha, low, high, sums.low_mass_infinite, sums.high_mass_infinite, defect, verdict
     )
@@ -166,32 +163,12 @@ def _complemented(p: TruncatedProjection) -> TruncatedProjection:
     return replace(p, matrix=np.eye(p.matrix.shape[0], dtype=np.complex128) - p.matrix)
 
 
-class _SideStream:
-    """Pull-based view of one side of the sequence, in increasing index order."""
-
-    def __init__(self, spec: SequenceSpec, alpha: float, low: bool):
-        self.count = side_index_count(spec, alpha, low)
-        self._iter = side_indices(spec, alpha, low)
-        self.consumed = 0
-
-    def pull(self):
-        item = next(self._iter, None)
-        if item is not None:
-            self.consumed += 1
-        return item
-
-    @property
-    def remaining(self) -> bool:
-        return self.consumed < self.count
-
-
 def build_case_b(
     spec: SequenceSpec,
     alpha: float = 0.5,
     depth: int = 1,
     *,
     budget: int = 100_000,
-    tol: float = 1e-9,
 ) -> list[TruncatedProjection]:
     """Tower ``P_1, ..., P_depth`` of projections for a summable-defect sequence.
 
@@ -232,71 +209,61 @@ def build_case_b(
         left = total - taken
         return 0.0 if left <= snap else left
 
-    lows = _SideStream(work_spec, work_alpha, True)
-    highs = _SideStream(work_spec, work_alpha, False)
-    taken_low = 0.0
-    taken_high_gap = 0.0
-    delta = residual(a_f, 0.0)
-    mu = residual(b_f, 0.0)
+    # Side 0 is the low side, side 1 the high side.  Both are counted before
+    # any term is pulled, so an unattributable side fails first.
+    for low in (True, False):
+        side_index_count(work_spec, work_alpha, low)
+    sides = [side_indices(work_spec, work_alpha, low) for low in (True, False)]
+    totals = (a_f, b_f)
+    taken = [0.0, 0.0]  # covered low mass, covered high complement mass
     pulls = 0
+
+    def pull(side: int, short) -> tuple[list[tuple[int, float]], float]:
+        """Pull one term of ``side`` if any remain, then more while ``short``
+        holds for its uncovered mass; return the new terms and that mass."""
+        nonlocal pulls
+        pulled = []
+        left = residual(totals[side], taken[side])
+        for i, v in sides[side]:
+            pulls += 1
+            if pulls > budget:
+                raise BudgetExhaustedError(f"more than {budget} terms consumed")
+            pulled.append((i, v))
+            taken[side] += 1.0 - v if side else v
+            left = residual(totals[side], taken[side])
+            if not short(left):
+                break
+        return pulled, left
+
     matrix: np.ndarray | None = None
     rows: list[int | None] = []
     results: list[TruncatedProjection] = []
 
     for k in range(1, depth + 1):
-        new_low_idx: list[int] = []
-        new_low_val: list[float] = []
-        new_high_idx: list[int] = []
-        new_high_val: list[float] = []
         target = 2.0**-k
-        forced = lows.remaining
-        while delta >= target or forced:
-            item = lows.pull()
-            if item is None:
-                break
-            forced = False
-            pulls += 1
-            if pulls > budget:
-                raise BudgetExhaustedError(f"more than {budget} terms consumed")
-            i, v = item
-            new_low_idx.append(i)
-            new_low_val.append(v)
-            taken_low += v
-            delta = residual(a_f, taken_low)
-        forced = highs.remaining
-        while not (mu < delta or (mu == 0.0 and delta == 0.0)) or forced:
-            item = highs.pull()
-            if item is None:
-                break
-            forced = False
-            pulls += 1
-            if pulls > budget:
-                raise BudgetExhaustedError(f"more than {budget} terms consumed")
-            i, v = item
-            new_high_idx.append(i)
-            new_high_val.append(v)
-            taken_high_gap += 1.0 - v
-            mu = residual(b_f, taken_high_gap)
+        new_low, delta = pull(0, lambda left: left >= target)
+        new_high, mu = pull(1, lambda left: not (left < delta or (left == 0.0 and delta == 0.0)))
         if mu > delta + snap:
             raise BudgetExhaustedError(
                 "residual ordering mu < delta unattainable at this depth"
             )
         sigma = max(0.0, delta - mu)
-        step_diag = list(new_low_val) + list(new_high_val) + [sigma]
+        step_diag = [v for _, v in new_low + new_high] + [sigma]
+        new_rows = [i for i, _ in new_low + new_high]
         if matrix is None:
             matrix = carpenter_finite(np.array(step_diag))
-            rows = [*new_low_idx, *new_high_idx, None]
+            rows = [*new_rows, None]
         else:
             d = len(rows)
-            grow = len(step_diag) - 1
+            grow = len(new_rows)
             bigger = np.zeros((d + grow, d + grow), dtype=np.complex128)
             bigger[:d, :d] = matrix
-            for offset in range(len(new_low_idx), grow):
+            for offset in range(len(new_low), grow):
                 bigger[d + offset, d + offset] = 1.0
             positions = [d - 1, *range(d, d + grow)]
-            _mix_rows_to(bigger, positions, step_diag, tol)
+            _mix_rows_to(bigger, positions, step_diag, _CHAIN_TOL)
             matrix = bigger
-            rows = rows[:-1] + [*new_low_idx, *new_high_idx, None]
+            rows = rows[:-1] + [*new_rows, None]
         covered = tuple(sorted(i for i in rows if i is not None))
         results.append(
             TruncatedProjection(
@@ -397,9 +364,9 @@ def monotone_divergent_subsequence(values, *, min_cluster: int = 16) -> Monotone
     return None
 
 
-def block_projection_from_partition(blocks, tol: float = INTEGER_TOL) -> np.ndarray:
+def block_projection_from_partition(blocks) -> np.ndarray:
     """Direct sum of projections, one per diagonal block (integer block sums)."""
-    mats = [carpenter_finite(np.asarray(block, dtype=float), tol) for block in blocks]
+    mats = [carpenter_finite(np.asarray(block, dtype=float)) for block in blocks]
     n = sum(m.shape[0] for m in mats)
     out = np.zeros((n, n), dtype=np.complex128)
     at = 0
@@ -410,22 +377,27 @@ def block_projection_from_partition(blocks, tol: float = INTEGER_TOL) -> np.ndar
     return out
 
 
-def _attributed_order(spec: SequenceSpec, report: KadisonReport, sample: int = 2048) -> list[bool]:
-    """Preferred complementation order for the divergent construction."""
+def _attributed_order(spec: SequenceSpec, report: KadisonReport, sample_size: int):
+    """Preferred complementation order for the divergent construction.
+
+    When neither side sum is ``inf`` it is read off the first ``_ORDER_SAMPLE``
+    terms of one pass over ``spec`` that also covers the ``sample_size``
+    terms of its selection sample; that pass is returned too (else ``None``).
+    """
     if report.low_sum == math.inf:
-        return [False, True]
+        return [False, True], None
     if report.high_complement_sum == math.inf:
-        return [True, False]
+        return [True, False], None
     alpha = report.alpha
+    values = [term(spec, i) for i in range(1, max(sample_size, _ORDER_SAMPLE) + 1)]
     mass_low = 0.0
     mass_high = 0.0
-    for i in range(1, sample + 1):
-        v = term(spec, i)
+    for v in values[:_ORDER_SAMPLE]:
         if v <= alpha:
             mass_low += v
         else:
             mass_high += 1.0 - v
-    return [False, True] if mass_low >= mass_high else [True, False]
+    return ([False, True] if mass_low >= mass_high else [True, False]), values
 
 
 def build_case_a(
@@ -434,7 +406,6 @@ def build_case_a(
     depth: int = 3,
     *,
     budget: int = 100_000,
-    tol: float = 1e-9,
 ) -> TruncatedProjection:
     """Truncated projection for a sequence with divergent threshold sums.
 
@@ -457,51 +428,52 @@ def build_case_a(
     if report.feasibility is not Feasibility.CASE_A:
         raise ValueError("the threshold sums are summable; use build_case_b instead")
 
-    selection = None
-    complemented = False
-    work_spec, work_alpha = spec, alpha
-    sample_size = min(4096, budget)
-    for flip in _attributed_order(spec, report):
-        candidate_spec = complement(spec) if flip else spec
-        candidate_alpha = 1.0 - alpha if flip else alpha
-        sampled = [
-            v
-            for i in range(1, sample_size + 1)
-            if (v := term(candidate_spec, i)) <= candidate_alpha
-        ]
-        selection = monotone_divergent_subsequence(sampled)
+    sample_size = min(_SELECTION_SAMPLE, budget)
+    order, plain = _attributed_order(spec, report, sample_size)
+    for complemented in order:
+        work_spec = complement(spec) if complemented else spec
+        work_alpha = 1.0 - alpha if complemented else alpha
+        if plain is None or complemented:
+            sample = [term(work_spec, i) for i in range(1, sample_size + 1)]
+        else:
+            sample = plain[:sample_size]
+        selection = monotone_divergent_subsequence(v for v in sample if v <= work_alpha)
         if selection is not None:
-            complemented = flip
-            work_spec, work_alpha = candidate_spec, candidate_alpha
             break
-    if selection is None:
+    else:
         raise MonotoneSelectionError(
             "no monotone divergent subsequence is apparent in the sampled terms"
         )
 
-    b_buffer: deque[tuple[int, float]] = deque()
     queue: deque[tuple[int, float]] = deque()
-    scan = {"i": 0, "last": None}
 
-    def classify_one():
-        scan["i"] += 1
-        if scan["i"] > budget:
-            raise BudgetExhaustedError(f"more than {budget} terms consumed")
-        i = scan["i"]
-        v = term(work_spec, i)
-        if v <= work_alpha and selection.keeps(v, scan["last"]):
-            if selection.kind == "descending":
-                scan["last"] = v
-            b_buffer.append((i, v))
-        else:
-            queue.append((i, v))
+    def selected():
+        """Yield the kept ``(index, value)`` terms of the working sequence and
+        queue the others; a term comes from the selection sample while it lasts."""
+        last = None
+        for i in itertools.count(1):
+            if i > budget:
+                raise BudgetExhaustedError(f"more than {budget} terms consumed")
+            v = sample[i - 1] if i <= sample_size else term(work_spec, i)
+            if v <= work_alpha and selection.keeps(v, last):
+                if selection.kind == "descending":
+                    last = v
+                yield i, v
+            else:
+                queue.append((i, v))
 
-    def next_b() -> tuple[int, float]:
-        while not b_buffer:
-            classify_one()
-        return b_buffer.popleft()
+    b_terms = selected()
 
-    first_idx, b1 = next_b()
+    def take(bound: float) -> tuple[list[tuple[int, float]], float]:
+        """Kept terms, in order, until their sum reaches ``bound``, and that sum."""
+        terms, total = [], 0.0
+        while total < bound:
+            idx, v = next(b_terms)
+            terms.append((idx, v))
+            total += v
+        return terms, total
+
+    first_idx, b1 = next(b_terms)
     delta = 1.0 - b1
     s_threshold = 1.0 / (1.0 - b1)
     # Per block: entries as (index, built value, exact value), plus the spans
@@ -511,43 +483,22 @@ def build_case_a(
     up_parts: list[list[int]] = [[0]]  # local positions pushed up, per block
 
     for _ in range(2, depth + 1):
-        entries: list[tuple[int, float, float]] = []
-        down_local: list[int] = []
-        up_local: list[int] = []
-        absorb: list[tuple[int, float]] = []
-        total = 0.0
-        while total < delta:
-            idx, v = next_b()
-            absorb.append((idx, v))
-            total += v
-        for idx, v in absorb:
-            down_local.append(len(entries))
-            entries.append((idx, v - (v / total) * delta, v))
+        absorb, total = take(delta)
+        entries = [(idx, v - (v / total) * delta, v) for idx, v in absorb]
         running = total - delta
         if queue:
             idx, v = queue.popleft()
             entries.append((idx, v, v))
             running += v
-        tail: list[tuple[int, float]] = []
-        tail_total = 0.0
-        while tail_total < s_threshold:
-            idx, v = next_b()
-            tail.append((idx, v))
-            tail_total += v
+        tail, tail_total = take(s_threshold)
         running += tail_total
         delta = math.floor(running) + 1.0 - running
-        for idx, v in tail:
-            up_local.append(len(entries))
-            entries.append((idx, v + (v / tail_total) * delta, v))
+        down_parts.append(list(range(len(absorb))))
+        up_parts.append(list(range(len(entries), len(entries) + len(tail))))
+        entries += [(idx, v + (v / tail_total) * delta, v) for idx, v in tail]
         blocks.append(entries)
-        down_parts.append(down_local)
-        up_parts.append(up_local)
 
-    offsets = []
-    at = 0
-    for block in blocks:
-        offsets.append(at)
-        at += len(block)
+    offsets = list(itertools.accumulate(map(len, blocks), initial=0))
     matrix = block_projection_from_partition(
         [[value for _, value, _ in block] for block in blocks]
     )
@@ -560,11 +511,9 @@ def build_case_a(
         exact_down = [blocks[k + 1][p][2] for p in down_parts[k + 1]]
         if not verify_concentration(exact_up, pushed_up, exact_down, pushed_down, tol=1e-8):
             raise RuntimeError("block repair hypotheses failed; construction is inconsistent")
-        _mix_rows_to(matrix, up_positions + down_positions, exact_up + exact_down, tol)
+        _mix_rows_to(matrix, up_positions + down_positions, exact_up + exact_down, _CHAIN_TOL)
 
-    diagonal_map: list[int] = []
-    for block in blocks:
-        diagonal_map.extend(idx for idx, _, _ in block)
+    diagonal_map = [idx for block in blocks for idx, _, _ in block]
     uncovered = {blocks[-1][p][0] for p in up_parts[-1]}
     covered = tuple(sorted(set(diagonal_map) - uncovered))
     result = TruncatedProjection(
@@ -578,12 +527,12 @@ def build_case_a(
 
 
 def projection_with_trace(
-    spec: SequenceSpec, trace_tol: float = 1e-8, *, budget: int = 100_000
+    spec: SequenceSpec, *, budget: int = 100_000
 ) -> TruncatedProjection:
     """Truncated projection whose diagonal is the (summable) sequence.
 
     The sequence total must be within the integer tolerance of an integer
-    ``m``; the returned truncation has trace within ``trace_tol`` of ``m``
+    ``m``; the returned truncation has trace within ``_TRACE_TOL`` (1e-8) of ``m``
     (the construction is run deep enough that every above-half entry is
     covered, at which point the trace equals ``m`` exactly in real
     arithmetic).
@@ -598,20 +547,20 @@ def projection_with_trace(
             f"sequence total {total!r} is {defect:.3e} away from an integer", defect=defect
         )
     high_count = int(side_index_count(spec, 0.5, False))
-    depth = max(1, math.ceil(math.log2(3.0 / trace_tol)), high_count)
+    depth = max(1, math.ceil(math.log2(3.0 / _TRACE_TOL)), high_count)
     return build_case_b(spec, 0.5, depth, budget=budget)[-1]
 
 
 def projection_with_cotrace(
-    spec: SequenceSpec, trace_tol: float = 1e-8, *, budget: int = 100_000
+    spec: SequenceSpec, *, budget: int = 100_000
 ) -> TruncatedProjection:
     """Truncated projection with diagonal ``spec`` when ``sum (1 - term)`` is finite.
 
     Runs :func:`projection_with_trace` on the complemented sequence and flips
-    the result, so ``trace(I - P)`` lands within ``trace_tol`` of the integer
+    the result, so ``trace(I - P)`` lands within ``_TRACE_TOL`` of the integer
     complement total.
     """
-    return _complemented(projection_with_trace(complement(spec), trace_tol, budget=budget))
+    return _complemented(projection_with_trace(complement(spec), budget=budget))
 
 
 def projection_increment_norms(projections) -> list[tuple[int, int, float]]:

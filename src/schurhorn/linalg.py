@@ -72,16 +72,18 @@ def projection_residual(p) -> float:
     return float(max(np.max(np.abs(p @ p - p)), np.max(np.abs(p - p.conj().T))))
 
 
-def diagonal(a, tol: float = STRUCTURAL_TOL) -> np.ndarray:
+def diagonal(a) -> np.ndarray:
     """Real diagonal of a (numerically) Hermitian matrix.
 
-    Raises if any diagonal entry carries imaginary residue above ``tol``.
+    Raises if any diagonal entry carries imaginary residue above ``STRUCTURAL_TOL``.
     """
     a = as_matrix(a)
     d = np.diag(a)
     residue = float(np.max(np.abs(d.imag))) if d.size else 0.0
-    if residue > tol:
-        raise ValueError(f"diagonal has imaginary residue {residue:.3e} above {tol:.3e}")
+    if residue > STRUCTURAL_TOL:
+        raise ValueError(
+            f"diagonal has imaginary residue {residue:.3e} above {STRUCTURAL_TOL:.3e}"
+        )
     return d.real.copy()
 
 

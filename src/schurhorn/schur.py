@@ -42,14 +42,13 @@ class InfeasibleDiagonalError(ValueError):
 class SynthesisResult:
     """Hermitian matrix with prescribed diagonal plus the unitary that built it.
 
-    ``matrix = unitary @ diag(spectrum) @ unitary*`` and
-    ``diag(matrix) == target_diagonal`` up to roundoff.
+    For the diagonal ``x`` and spectrum ``y`` it was built from,
+    ``matrix = unitary @ diag(y) @ unitary*`` and ``diag(matrix) == x`` up to
+    roundoff.
     """
 
     matrix: np.ndarray
     unitary: np.ndarray
-    target_diagonal: np.ndarray
-    spectrum: np.ndarray
 
 
 def _mixing_phase(a01: complex, a10: complex) -> complex:
@@ -139,7 +138,7 @@ def synthesize_hermitian(x, y, tol: float = 1e-9) -> SynthesisResult:
     x = as_vector(x)
     y = as_vector(y)
     a, u = conjugate_to_diagonal(np.diag(y), x, tol)
-    return SynthesisResult(a, u, x.copy(), y.copy())
+    return SynthesisResult(a, u)
 
 
 def conjugate_to_diagonal(a, x, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
@@ -164,8 +163,9 @@ def conjugate_to_diagonal(a, x, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarr
 def carpenter_finite(a, tol: float = INTEGER_TOL) -> np.ndarray:
     """Projection with prescribed diagonal ``a`` (entries in [0, 1], integer sum).
 
-    The diagonal is majorised by the matching 0/1 staircase, so the projection
-    is synthesised with spectrum (1, ..., 1, 0, ..., 0).  A non-integer sum is
+    The diagonal is majorised by the matching 0/1 staircase, so the rotation
+    chain of :func:`conjugate_to_diagonal` carries ``diag(1, ..., 1, 0, ..., 0)``
+    to it; only the matrix is formed, not the unitary.  A non-integer sum is
     infeasible and raises with the defect attached.
     """
     v = as_vector(a)
@@ -179,7 +179,8 @@ def carpenter_finite(a, tol: float = INTEGER_TOL) -> np.ndarray:
         raise InfeasibleDiagonalError(
             f"diagonal sum {s!r} is {defect:.3e} away from an integer", defect=defect
         )
-    target = np.zeros(v.size)
+    target = np.zeros(v.size, dtype=np.complex128)
     target[:m] = 1.0
-    result = synthesize_hermitian(v, target, tol=max(tol, 1e-9))
-    return result.matrix
+    p = np.diag(target)
+    _mix_rows_to(p, np.arange(v.size), v, max(tol, 1e-9))
+    return p

@@ -13,6 +13,7 @@ wire name ``kind``: ``term(i)`` is tail position ``i`` (1-based),
 :class:`BudgetExhaustedError`), ``side_count(alpha, low)`` the number of
 indices on one side (``inf``, or ``None`` when the rule cannot attribute
 them), ``total()`` the sum of all terms and ``to_obj()`` the wire form.
+``SideSums.total_divergent`` is derived from the two side sums, not stored.
 
 Indices are 1-based throughout: ``term(spec, 1)`` is the first entry.
 """
@@ -164,7 +165,11 @@ class SideSums:
     high: float | None
     low_mass_infinite: bool
     high_mass_infinite: bool
-    total_divergent: bool
+
+    @property
+    def total_divergent(self) -> bool:
+        """Whether the tail diverges: a side sum is ``inf`` or unattributed."""
+        return any(s is None or s == math.inf for s in (self.low, self.high))
 
 
 def _combine(a: float | None, b: float | None) -> float | None:
@@ -213,7 +218,7 @@ class ZeroTail:
         return OneTail()
 
     def side_sums(self, alpha: float, budget: int = 100_000) -> SideSums:
-        return SideSums(0.0, 0.0, False, False, False)
+        return SideSums(0.0, 0.0, False, False)
 
     def side_count(self, alpha: float, low: bool) -> float | None:
         return math.inf if low else 0
@@ -238,7 +243,7 @@ class OneTail:
         return ZeroTail()
 
     def side_sums(self, alpha: float, budget: int = 100_000) -> SideSums:
-        return SideSums(0.0, 0.0, False, False, False)
+        return SideSums(0.0, 0.0, False, False)
 
     def side_count(self, alpha: float, low: bool) -> float | None:
         return 0 if low else math.inf
@@ -282,7 +287,7 @@ class GeometricLow(_Geometric):
 
     def side_sums(self, alpha: float, budget: int = 100_000) -> SideSums:
         _, high, low = _geometric_split(self.c, self.r, alpha, inclusive=False)
-        return SideSums(low, high, self.c > 0.0, False, False)
+        return SideSums(low, high, self.c > 0.0, False)
 
     def side_count(self, alpha: float, low: bool) -> float | None:
         if low:
@@ -306,7 +311,7 @@ class GeometricHigh(_Geometric):
 
     def side_sums(self, alpha: float, budget: int = 100_000) -> SideSums:
         _, low, high = _geometric_split(self.c, self.r, 1.0 - alpha, inclusive=True)
-        return SideSums(low, high, False, self.c > 0.0, False)
+        return SideSums(low, high, False, self.c > 0.0)
 
     def side_count(self, alpha: float, low: bool) -> float | None:
         if not low:
@@ -342,7 +347,6 @@ class Interleave:
             _combine(a.high, b.high),
             a.low_mass_infinite or b.low_mass_infinite,
             a.high_mass_infinite or b.high_mass_infinite,
-            a.total_divergent or b.total_divergent,
         )
 
     def side_count(self, alpha: float, low: bool) -> float | None:
@@ -438,15 +442,15 @@ class DivergentLow(_Divergent):
         cert = self.certificate
         if alpha >= 0.5:
             # Every term sits in [0, 1/2], hence on the low side.
-            return SideSums(math.inf, 0.0, True, False, True)
+            return SideSums(math.inf, 0.0, True, False)
         if cert.kind == "constant" and cert.p > alpha:
             low = 0.0
             for i in self._head(budget):
                 v = self.term(i)
                 if v <= alpha:
                     low += v
-            return SideSums(low, math.inf, False, True, True)
-        return SideSums(None, None, True, True, True)
+            return SideSums(low, math.inf, False, True)
+        return SideSums(None, None, True, True)
 
     def side_count(self, alpha: float, low: bool) -> float | None:
         if alpha >= 0.5:
@@ -469,18 +473,18 @@ class DivergentHigh(_Divergent):
         cert = self.certificate
         if alpha < 0.5:
             # Every term sits in [1/2, 1], hence strictly above alpha.
-            return SideSums(0.0, math.inf, False, True, True)
+            return SideSums(0.0, math.inf, False, True)
         if cert.kind == "constant" and cert.p > 1.0 - alpha:
             high = 0.0
             for i in self._head(budget):
                 v = self.term(i)
                 if v > alpha:
                     high += 1.0 - v
-            return SideSums(math.inf, high, True, False, True)
+            return SideSums(math.inf, high, True, False)
         if alpha == 0.5 and all(self._value(i) < 0.5 - 1e-9 for i in _SAMPLE_INDICES):
             # Sampled generator stays below 1/2, so terms stay above alpha.
-            return SideSums(0.0, math.inf, False, True, True)
-        return SideSums(None, None, True, True, True)
+            return SideSums(0.0, math.inf, False, True)
+        return SideSums(None, None, True, True)
 
     def side_count(self, alpha: float, low: bool) -> float | None:
         if alpha < 0.5:

@@ -37,6 +37,7 @@ from schurhorn import (
     term,
     verify_truncation,
 )
+from schurhorn import carpenter
 
 # Interleaves 1/2^{i+1} with 1 - 1/2^{i+1}: the canonical summable-defect example.
 HALF_INTERLEAVE = SequenceSpec((), Interleave(GeometricLow(0.5, 0.5), GeometricHigh(0.5, 0.5)))
@@ -147,6 +148,16 @@ def test_case_b_degenerate_all_zero_and_all_one():
     for k, p in enumerate(tower, start=1):
         want = np.diag([1.0] * k + [0.0])
         assert np.max(np.abs(p.matrix - want)) <= 1e-12
+
+
+def test_case_b_pulls_a_term_per_side_at_every_level():
+    # delta = 0.1 is already below 2^-4 only from level 4 on, yet every level
+    # must still cover at least one more low index: a side with terms left
+    # gives one up before its residual condition is consulted.
+    tower = build_case_b(SequenceSpec((0.9, 0.1), ZeroTail()), depth=6)
+    low_covered = [len([i for i in p.covered if i != 1]) for p in tower]
+    assert low_covered == [1, 2, 3, 4, 5, 6]
+    assert all(1 in p.covered for p in tower)  # the lone high index, at level 1
 
 
 def test_case_b_rejections():
@@ -367,3 +378,25 @@ def test_builds_reuse_the_reported_side_sums(monkeypatch):
         assert feasibility(spec).feasibility is not Feasibility.INFEASIBLE  # as the CLI does
         build(spec, 0.5, 3)
         assert len(calls) == 2, calls
+
+
+@pytest.mark.parametrize(
+    "spec, alpha",
+    [
+        (CONSTANT_HALF, 0.5),  # low side infinite: no order sample
+        (SequenceSpec((), DivergentLow("0.4/sqrt(i)", Certificate("harmonic", 0.4))), 0.3),
+    ],
+    ids=["attributed", "unattributed"],
+)
+def test_case_a_evaluates_each_term_once(monkeypatch, spec, alpha):
+    seen = []
+    real = carpenter.term
+
+    def counted(s, i):
+        seen.append((s, i))
+        return real(s, i)
+
+    monkeypatch.setattr(carpenter, "term", counted)
+    build_case_a(spec, alpha, depth=3)
+    assert len(seen) >= 4096  # the selection sample at least
+    assert len(set(seen)) == len(seen)
