@@ -377,19 +377,21 @@ def block_projection_from_partition(blocks) -> np.ndarray:
     return out
 
 
-def _attributed_order(spec: SequenceSpec, report: KadisonReport, sample_size: int):
+def _attributed_order(spec: SequenceSpec, report: KadisonReport, sample_size: int, budget: int):
     """Preferred complementation order for the divergent construction.
 
     When neither side sum is ``inf`` it is read off the first ``_ORDER_SAMPLE``
     terms of one pass over ``spec`` that also covers the ``sample_size``
     terms of its selection sample; that pass is returned too (else ``None``).
+    The pass takes at most ``budget`` terms.
     """
     if report.low_sum == math.inf:
         return [False, True], None
     if report.high_complement_sum == math.inf:
         return [True, False], None
     alpha = report.alpha
-    values = [term(spec, i) for i in range(1, max(sample_size, _ORDER_SAMPLE) + 1)]
+    count = min(max(sample_size, _ORDER_SAMPLE), budget)
+    values = [term(spec, i) for i in range(1, count + 1)]
     mass_low = 0.0
     mass_high = 0.0
     for v in values[:_ORDER_SAMPLE]:
@@ -429,7 +431,7 @@ def build_case_a(
         raise ValueError("the threshold sums are summable; use build_case_b instead")
 
     sample_size = min(_SELECTION_SAMPLE, budget)
-    order, plain = _attributed_order(spec, report, sample_size)
+    order, plain = _attributed_order(spec, report, sample_size, budget)
     for complemented in order:
         work_spec = complement(spec) if complemented else spec
         work_alpha = 1.0 - alpha if complemented else alpha

@@ -2,7 +2,10 @@
 
 All decoding errors raise :class:`FormatError` so callers (notably the CLI)
 can distinguish malformed input from numerical failure; that includes numbers
-outside the float range.  Files are written as compact JSON.  Formats:
+outside the float range.  Each ``save_*`` writes exactly the text of
+``json.dumps`` (default separators, one line, plus a newline) of the matching
+``*_to_obj`` object.  The matrix, truncated-projection and plan writers build
+that text themselves and format each distinct float once.  Formats:
 
 * matrix: ``{"n": int, "data": [[re, im], ...]}`` with ``n**2`` row-major
   entries;
@@ -78,8 +81,40 @@ def _read_json(path) -> object:
         raise FormatError(f"{path} is not valid JSON: {exc}") from exc
 
 
+def _write_text(path, text: str) -> None:
+    Path(path).write_text(text + "\n")
+
+
 def _write_json(path, obj) -> None:
-    Path(path).write_text(json.dumps(obj) + "\n")
+    _write_text(path, json.dumps(obj))
+
+
+def _float_texts(values: np.ndarray) -> np.ndarray:
+    """``json.dumps`` text of each float of the 1-d float64 array ``values``, as an object array.
+
+    Each distinct bit pattern (so ``-0.0`` and NaN payloads stay apart) is
+    formatted once, by one ``json.dumps`` of the distinct values, which also
+    gives JSON's ``NaN``/``Infinity`` spellings; the texts are then gathered
+    back into the order of ``values``.
+    """
+    if not values.size:
+        return np.empty(0, dtype=object)
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    texts = json.dumps(bits.view(np.float64).tolist())[1:-1].split(", ")
+    return np.array(texts, dtype=object)[inverse]
+
+
+def _matrix_json(m, fields: dict) -> str:
+    """``json.dumps(matrix_to_obj(m) | fields)``, with each distinct float formatted once."""
+    m = np.ascontiguousarray(_square_matrix(m))
+    texts = _float_texts(m.reshape(-1).view(np.float64))  # re, im interleaved
+    pieces = np.empty(2 * texts.size, dtype=object)
+    pieces[0::2] = texts
+    pieces[1::4] = ", "
+    pieces[3::4] = "], ["
+    data = "[" + "".join(pieces[:-1].tolist()) + "]" if texts.size else ""
+    rest = ", " + json.dumps(fields)[1:] if fields else "}"
+    return f'{{"n": {m.shape[0]}, "data": [{data}]{rest}'
 
 
 def _require(obj, key, kind, context):
@@ -134,10 +169,15 @@ def _finite_floats(values, count: int, context: str) -> np.ndarray:
     return out
 
 
-def matrix_to_obj(m) -> dict:
+def _square_matrix(m) -> np.ndarray:
     m = np.asarray(m, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise FormatError(f"expected a square matrix, got shape {m.shape}")
+    return m
+
+
+def matrix_to_obj(m) -> dict:
+    m = _square_matrix(m)
     flat = m.reshape(-1)
     return {"n": int(m.shape[0]), "data": np.stack((flat.real, flat.imag), 1).tolist()}
 
@@ -179,14 +219,17 @@ def vector_from_obj(obj) -> np.ndarray:
     return _finite_floats(values, len(values), "vector")
 
 
-def plan_to_obj(plan: TTransformPlan) -> dict:
+def _plan_orders(plan: TTransformPlan) -> dict:
+    """The keys after ``transforms`` in a plan object, in file order."""
     return {
-        "transforms": [
-            {"j": tr.j + 1, "k": tr.k + 1, "t": tr.t} for tr in plan.transforms
-        ],
         "source_order": [p + 1 for p in plan.source_order],
         "placement": [p + 1 for p in plan.placement],
     }
+
+
+def plan_to_obj(plan: TTransformPlan) -> dict:
+    transforms = [{"j": tr.j + 1, "k": tr.k + 1, "t": tr.t} for tr in plan.transforms]
+    return {"transforms": transforms} | _plan_orders(plan)
 
 
 def plan_from_obj(obj) -> TTransformPlan:
@@ -256,13 +299,18 @@ def spec_from_obj(obj) -> SequenceSpec:
         raise FormatError(f"sequence: {exc}") from exc
 
 
+def _projection_fields(t: TruncatedProjection) -> dict:
+    """The keys a truncated projection adds to its matrix object, in file order."""
+    return {
+        "depth": t.depth,
+        "covered": list(t.covered),
+        "residual_bound": t.residual_bound,
+        "permutation": list(t.diagonal_map),
+    }
+
+
 def truncated_projection_to_obj(t: TruncatedProjection) -> dict:
-    obj = matrix_to_obj(t.matrix)
-    obj["depth"] = t.depth
-    obj["covered"] = list(t.covered)
-    obj["residual_bound"] = t.residual_bound
-    obj["permutation"] = list(t.diagonal_map)
-    return obj
+    return matrix_to_obj(t.matrix) | _projection_fields(t)
 
 
 def truncated_projection_from_obj(obj) -> TruncatedProjection:
@@ -291,7 +339,7 @@ def load_matrix(path) -> np.ndarray:
 
 
 def save_matrix(path, m) -> None:
-    _write_json(path, matrix_to_obj(m))
+    _write_text(path, _matrix_json(m, {}))
 
 
 def load_vector(path) -> np.ndarray:
@@ -307,7 +355,12 @@ def load_plan(path) -> TTransformPlan:
 
 
 def save_plan(path, plan: TTransformPlan) -> None:
-    _write_json(path, plan_to_obj(plan))
+    ts = _float_texts(np.array([tr.t for tr in plan.transforms], dtype=np.float64))
+    transforms = ", ".join(
+        f'{{"j": {tr.j + 1}, "k": {tr.k + 1}, "t": {t}}}'
+        for tr, t in zip(plan.transforms, ts.tolist())
+    )
+    _write_text(path, f'{{"transforms": [{transforms}], {json.dumps(_plan_orders(plan))[1:]}')
 
 
 def load_sequence_spec(path) -> SequenceSpec:
@@ -323,4 +376,4 @@ def load_truncated_projection(path) -> TruncatedProjection:
 
 
 def save_truncated_projection(path, t: TruncatedProjection) -> None:
-    _write_json(path, truncated_projection_to_obj(t))
+    _write_text(path, _matrix_json(t.matrix, _projection_fields(t)))

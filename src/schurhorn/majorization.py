@@ -9,6 +9,7 @@ matrix constructions in :mod:`schurhorn.schur` consume.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 
@@ -103,6 +104,7 @@ class TTransform:
             raise ValueError("T-transform positions must be non-negative")
         if not 0.0 <= self.t <= 1.0:
             raise ValueError(f"mixing weight must lie in [0, 1], got {self.t}")
+        object.__setattr__(self, "t", float(self.t))  # written as a JSON float
 
 
 def apply_t_transform(tr: TTransform, x) -> np.ndarray:
@@ -187,7 +189,11 @@ def decompose_t_transforms(x, y, tol: float = 1e-9) -> TTransformPlan:
         if denom <= settle:
             del keys[0]
             continue
-        tr = TTransform(top, low, min(1.0, max(0.0, (target - frame[low]) / denom)))
+        if denom == math.inf:  # the halves of both differences are exact and finite
+            t = (0.5 * target - 0.5 * frame[low]) / (0.5 * frame[top] - 0.5 * frame[low])
+        else:
+            t = (target - frame[low]) / denom
+        tr = TTransform(top, low, min(1.0, max(0.0, t)))
         transforms.append(tr)
         _mix(tr, frame)
         del keys[pick]

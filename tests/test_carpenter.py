@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import Counter
 from statistics import median
 
 import numpy as np
@@ -400,3 +401,22 @@ def test_case_a_evaluates_each_term_once(monkeypatch, spec, alpha):
     build_case_a(spec, alpha, depth=3)
     assert len(seen) >= 4096  # the selection sample at least
     assert len(set(seen)) == len(seen)
+
+
+@pytest.mark.parametrize("budget", [10, 100])
+def test_case_a_order_sample_stays_within_budget(monkeypatch, budget):
+    seen = []
+    real = carpenter.term
+
+    def counted(s, i):
+        seen.append(s)
+        return real(s, i)
+
+    monkeypatch.setattr(carpenter, "term", counted)
+    spec = SequenceSpec((), DivergentLow("0.4/sqrt(i)", Certificate("harmonic", 0.4)))
+    try:
+        build_case_a(spec, 0.3, 3, budget=budget)
+    except BudgetExhaustedError:
+        pass
+    assert seen
+    assert max(Counter(seen).values()) <= budget  # per pass over a working sequence

@@ -67,6 +67,35 @@ def test_majorize_true_with_plan(tmp_path, capsys):
     assert len(plan.transforms) <= 2
 
 
+def _overflowing_pair(tmp_path):
+    """x = 0 against a spectrum whose spread overflows a float."""
+    x = _write_vector(tmp_path / "x.json", [0.0, 0.0])
+    y = _write_vector(tmp_path / "y.json", [1.7e308, -1.7e308])
+    return x, y
+
+
+def test_majorize_plan_survives_an_overflowing_spread(tmp_path, capsys):
+    x, y = _overflowing_pair(tmp_path)
+    plan_path = tmp_path / "plan.json"
+    code = main(["majorize", x, y, "--decompose", str(plan_path)])
+    pairs = _kv(capsys)
+    assert code == 0
+    assert pairs["majorizes"] == "true"
+    assert float(pairs["replay_error"]) == 0.0
+    assert [tr.t for tr in load_plan(plan_path).transforms] == [0.5]
+
+
+def test_synth_survives_an_overflowing_spread(tmp_path, capsys):
+    x, y = _overflowing_pair(tmp_path)
+    out = tmp_path / "a.json"
+    code = main(["synth", x, y, "--out", str(out)])
+    pairs = _kv(capsys)
+    assert code == 0
+    roundoff = 1e-15 * 1.7e308  # relative roundoff at the scale of y
+    assert float(pairs["diagonal_error"]) <= roundoff
+    assert np.max(np.abs(np.diag(load_matrix(out)))) <= roundoff
+
+
 def test_majorize_false_exits_one(tmp_path, capsys):
     x = _write_vector(tmp_path / "x.json", [3.0, 1.0])
     y = _write_vector(tmp_path / "y.json", [2.0, 2.0])

@@ -16,6 +16,8 @@ from schurhorn import (
     Interleave,
     OneTail,
     SequenceSpec,
+    TTransform,
+    TTransformPlan,
     ZeroTail,
     build_case_a,
     build_case_b,
@@ -52,14 +54,31 @@ HALF_INTERLEAVE = SequenceSpec(
 
 def test_matrix_round_trip(tmp_path):
     rng = np.random.default_rng(401)
-    a = random_hermitian(rng, 5)
-    a[0, 0] = complex(-0.0, 5e-324)
+    extremes = random_hermitian(rng, 5)
+    extremes[0, 0] = complex(-0.0, 5e-324)
+    extremes[1, 3] = complex(1.7e308, -1.7e308)
+    extremes[3, 1] = complex(-1.7e308, 1.7e308)
+    cases = [extremes, random_hermitian(rng, 40), np.zeros((0, 0)), np.array([[2.5 - 0.5j]])]
+    for pos, a in enumerate(cases):
+        path = tmp_path / f"m{pos}.json"
+        save_matrix(path, a)
+        assert path.read_text() == json.dumps(matrix_to_obj(a)) + "\n"  # compact, one line
+        back = load_matrix(path)
+        assert back.shape == a.shape
+        assert back.tobytes() == a.tobytes()  # exact: floats survive JSON round trips
+
+
+def test_matrix_writer_spells_non_finite_entries_as_json_does(tmp_path):
+    quiet_nan = np.array([0x7FF8000000000001], dtype=np.int64).view(np.float64)[0]
+    a = np.array([
+        [math.nan, complex(math.inf, -math.inf)],
+        [complex(quiet_nan, -0.0), complex(0.0, math.nan)],
+    ])
     path = tmp_path / "m.json"
     save_matrix(path, a)
-    assert path.read_text().count("\n") == 1  # compact JSON
-    back = load_matrix(path)
-    assert back.tobytes() == a.tobytes()  # exact: floats survive JSON round trips
-    assert matrix_from_obj(matrix_to_obj(np.zeros((0, 0)))).shape == (0, 0)
+    text = path.read_text()
+    assert text == json.dumps(matrix_to_obj(a)) + "\n"
+    assert text.count("NaN") == 3 and "[Infinity, -Infinity]" in text and "-0.0" in text
 
 
 def test_matrix_malformed():
@@ -186,6 +205,25 @@ def test_plan_round_trip(tmp_path):
     obj = plan_to_obj(plan)
     assert all(tr["j"] >= 1 and tr["k"] >= 1 for tr in obj["transforms"])
 
+    weights = (0.0, 1.0, np.float64(0.3), 1)  # an int weight is written as a float
+    mixed = TTransformPlan(
+        tuple(TTransform(j, (j + 1) % 3, t) for j, t in enumerate(weights[:3]))
+        + (TTransform(2, 0, weights[3]),),
+        (2, 0, 1),
+        (1, 2, 0),
+    )
+    for pos, plan in enumerate(
+        [plan, TTransformPlan((), (), ()), TTransformPlan((), (0,), (0,)), mixed]
+    ):
+        path = tmp_path / f"plan{pos}.json"
+        save_plan(path, plan)
+        assert path.read_text() == json.dumps(plan_to_obj(plan)) + "\n"
+        assert load_plan(path) == plan
+    assert path.read_text().startswith(
+        '{"transforms": [{"j": 1, "k": 2, "t": 0.0}, {"j": 2, "k": 3, "t": 1.0}, '
+        '{"j": 3, "k": 1, "t": 0.3}, {"j": 3, "k": 1, "t": 1.0}], '
+    )
+
 
 def test_plan_malformed():
     with pytest.raises(FormatError):
@@ -266,8 +304,10 @@ def test_truncated_projection_round_trip(tmp_path):
     spec = SequenceSpec((), Interleave(GeometricLow(0.5, 0.5), GeometricHigh(0.5, 0.5)))
     tower = build_case_b(spec, depth=3)
     for t in tower:
+        assert t.diagonal_map[-1] is None  # the slack position
         path = tmp_path / f"p{t.depth}.json"
         save_truncated_projection(path, t)
+        assert path.read_text() == json.dumps(truncated_projection_to_obj(t)) + "\n"
         back = load_truncated_projection(path)
         assert np.all(back.matrix == t.matrix)
         assert back.depth == t.depth
@@ -281,6 +321,8 @@ def test_truncated_projection_infinite_bound_round_trip(tmp_path):
     t = build_case_a(spec, depth=2)
     path = tmp_path / "a.json"
     save_truncated_projection(path, t)
+    assert path.read_text() == json.dumps(truncated_projection_to_obj(t)) + "\n"
+    assert '"residual_bound": Infinity' in path.read_text()
     back = load_truncated_projection(path)
     assert back.residual_bound == math.inf
     assert back.diagonal_map == t.diagonal_map
