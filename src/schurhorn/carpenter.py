@@ -45,6 +45,7 @@ from .sequences import (
     side_index_count,
     side_indices,
     term,
+    terms,
 )
 
 __all__ = [
@@ -391,7 +392,7 @@ def _attributed_order(spec: SequenceSpec, report: KadisonReport, sample_size: in
         return [True, False], None
     alpha = report.alpha
     count = min(max(sample_size, _ORDER_SAMPLE), budget)
-    values = [term(spec, i) for i in range(1, count + 1)]
+    values = terms(spec, count)
     mass_low = 0.0
     mass_high = 0.0
     for v in values[:_ORDER_SAMPLE]:
@@ -436,7 +437,7 @@ def build_case_a(
         work_spec = complement(spec) if complemented else spec
         work_alpha = 1.0 - alpha if complemented else alpha
         if plain is None or complemented:
-            sample = [term(work_spec, i) for i in range(1, sample_size + 1)]
+            sample = terms(work_spec, sample_size)
         else:
             sample = plain[:sample_size]
         selection = monotone_divergent_subsequence(v for v in sample if v <= work_alpha)

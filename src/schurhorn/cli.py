@@ -11,7 +11,8 @@ Subcommands::
 Output is ``key=value`` lines by default, a two-line CSV with ``--csv``, or
 prose with ``--human``.  Exit codes: 0 success, 1 infeasible (including a
 failed verification or a non-majorised pair), 2 malformed input, 3 numerical
-failure.
+failure (including a ``majorize --decompose`` or ``synth`` whose own printed
+error exceeds ``--tol`` scaled by the input).
 """
 
 from __future__ import annotations
@@ -80,6 +81,17 @@ def _max_gap(a, b) -> float:
     return float(np.max(gap)) if gap.size else 0.0
 
 
+def _check_errors(pairs, tol: float, y) -> None:
+    """Raise ``RuntimeError`` (exit 3) when a printed ``*_error`` exceeds
+    ``tol * max(1, max|y|)``: the command's check of its own witness."""
+    bound = tol * max(1.0, float(np.max(np.abs(y), initial=0.0)))
+    for key, value in pairs:
+        if key.endswith("_error") and not value <= bound:
+            raise RuntimeError(
+                f"{key}={_fmt(value)} exceeds tol * max(1, max|y|) = {_fmt(bound)}"
+            )
+
+
 def _emit(pairs, args) -> None:
     if getattr(args, "csv", False):
         print(",".join(key for key, _ in pairs))
@@ -106,6 +118,7 @@ def _cmd_majorize(args) -> int:
         replay_error = _max_gap(replay, x)
         pairs += [("transforms", len(plan.transforms)), ("replay_error", replay_error)]
     _emit(pairs, args)
+    _check_errors(pairs, args.tol, y)
     return 0 if ok else 1
 
 
@@ -119,16 +132,15 @@ def _cmd_synth(args) -> int:
     diag_error = _max_gap(np.diag(result.matrix), x)
     eigs = hermitian_eigenvalues(result.matrix)
     spectrum_error = _max_gap(eigs, np.sort(y))
-    _emit(
-        [
-            ("n", x.size),
-            ("hermitian_residual", hermitian_residual(result.matrix)),
-            ("unitary_residual", unitary_residual(result.unitary)),
-            ("diagonal_error", diag_error),
-            ("spectrum_error", spectrum_error),
-        ],
-        args,
-    )
+    pairs = [
+        ("n", x.size),
+        ("hermitian_residual", hermitian_residual(result.matrix)),
+        ("unitary_residual", unitary_residual(result.unitary)),
+        ("diagonal_error", diag_error),
+        ("spectrum_error", spectrum_error),
+    ]
+    _emit(pairs, args)
+    _check_errors(pairs, args.tol, y)
     return 0
 
 

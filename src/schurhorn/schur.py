@@ -28,6 +28,7 @@ __all__ = [
 ]
 
 _PHASE_TOL = 1e-13
+_HERMITIAN_TOL = 1e-8  # largest |A - A*| entry a rotation or conjugation accepts
 
 
 class InfeasibleDiagonalError(ValueError):
@@ -67,6 +68,29 @@ def _mixing_phase(a01: complex, a10: complex) -> complex:
     return best
 
 
+def _rotation_entries(a00, a01, a10, a11, t: float) -> tuple:
+    """Entries ``(g00, g01, g10, g11)`` of the Kadison rotation of a 2x2 block.
+
+    Works on Python scalars and runs every check of :func:`kadison_rotation`:
+    ``t`` in [0, 1], finite entries, Hermitian residual (imaginary diagonal
+    parts included) at most ``_HERMITIAN_TOL``, and balanced phases.
+    """
+    if not 0.0 <= t <= 1.0:
+        raise ValueError(f"mixing weight must lie in [0, 1], got {t}")
+    if not all(map(cmath.isfinite, (a00, a01, a10, a11))):
+        raise ValueError("matrix entries must be finite")
+    residual = max(
+        abs(a00 - a00.conjugate()), abs(a01 - a10.conjugate()), abs(a11 - a11.conjugate())
+    )
+    if residual > _HERMITIAN_TOL:
+        raise ValueError("kadison_rotation requires a (numerically) Hermitian input")
+    theta = math.asin(math.sqrt(t))
+    s = math.sin(theta)
+    co = math.cos(theta)
+    c = _mixing_phase(a01, a10)
+    return c * s, -co, c * co, s
+
+
 def kadison_rotation(a, t: float) -> np.ndarray:
     """2x2 unitary mixing the diagonal of a Hermitian matrix with weight t.
 
@@ -78,15 +102,8 @@ def kadison_rotation(a, t: float) -> np.ndarray:
     a = linalg.as_matrix(a)
     if a.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got {a.shape}")
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"mixing weight must lie in [0, 1], got {t}")
-    if linalg.hermitian_residual(a) > 1e-8:
-        raise ValueError("kadison_rotation requires a (numerically) Hermitian input")
-    theta = math.asin(math.sqrt(t))
-    s = math.sin(theta)
-    co = math.cos(theta)
-    c = _mixing_phase(a[0, 1], a[1, 0])
-    return np.array([[c * s, -co], [c * co, s]], dtype=np.complex128)
+    g00, g01, g10, g11 = _rotation_entries(a.item(0), a.item(1), a.item(2), a.item(3), t)
+    return np.array([[g00, g01], [g10, g11]], dtype=np.complex128)
 
 
 def _rotate(a: np.ndarray, u: np.ndarray | None, j: int, k: int, t: float) -> None:
@@ -96,7 +113,10 @@ def _rotate(a: np.ndarray, u: np.ndarray | None, j: int, k: int, t: float) -> No
     rotation of their 2x2 block, and rows ``(j, k)`` of ``u`` (when given)
     are multiplied by it; nothing else is touched, so a step costs O(n).
     """
-    g = kadison_rotation(np.array([[a[j, j], a[j, k]], [a[k, j], a[k, k]]]), t)
+    g00, g01, g10, g11 = _rotation_entries(
+        a.item(j, j), a.item(j, k), a.item(k, j), a.item(k, k), t
+    )
+    g = np.array([[g00, g01], [g10, g11]], dtype=np.complex128)
     if j > k:
         # Reversing both the pair and the rotation's frame is the same step.
         j, k, g = k, j, g[::-1, ::-1]
@@ -119,10 +139,10 @@ def _mix_rows_to(a: np.ndarray, rows, x, tol: float, u: np.ndarray | None = None
     rows = np.asarray(rows)
     y = linalg.diagonal(a)[rows]
     plan = decompose_t_transforms(x, y, tol)  # raises MajorizationError if x not << y
-    frame = rows[list(plan.source_order)]
+    frame = rows[list(plan.source_order)].tolist()
     for tr in plan.transforms:
         _rotate(a, u, frame[tr.j], frame[tr.k], tr.t)
-    src = frame[list(plan.placement)]
+    src = [frame[p] for p in plan.placement]
     a[rows, :] = a[src, :]
     a[:, rows] = a[:, src]
     if u is not None:
@@ -151,7 +171,7 @@ def conjugate_to_diagonal(a, x, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarr
     copy of ``A``, so a chain of at most ``n - 1`` steps costs O(n^2).
     """
     a = linalg.as_matrix(a)
-    if linalg.hermitian_residual(a) > 1e-8:
+    if linalg.hermitian_residual(a) > _HERMITIAN_TOL:
         raise ValueError("conjugate_to_diagonal requires a Hermitian input")
     x = as_vector(x)
     cur = a.copy()

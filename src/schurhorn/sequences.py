@@ -8,11 +8,13 @@ floating-point guesswork.
 
 Each tail rule is a class that carries its own behaviour, tagged with its
 wire name ``kind``: ``term(i)`` is tail position ``i`` (1-based),
-``complement()`` the rule of ``1 - term``, ``side_sums(alpha, budget)`` the
-:class:`SideSums` at a threshold (evaluating at most ``budget`` terms, else
-:class:`BudgetExhaustedError`), ``side_count(alpha, low)`` the number of
-indices on one side (``inf``, or ``None`` when the rule cannot attribute
-them), ``total()`` the sum of all terms and ``to_obj()`` the wire form.
+``terms(count)`` the list of positions ``1..count`` (bit-identical to calling
+``term`` on each), ``complement()`` the rule of ``1 - term``,
+``side_sums(alpha, budget)`` the :class:`SideSums` at a threshold
+(evaluating at most ``budget`` terms, else :class:`BudgetExhaustedError`),
+``side_count(alpha, low)`` the number of indices on one side (``inf``, or
+``None`` when the rule cannot attribute them), ``total()`` the sum of all
+terms and ``to_obj()`` the wire form.
 ``SideSums.total_divergent`` is derived from the two side sums, not stored.
 
 Indices are 1-based throughout: ``term(spec, 1)`` is the first entry.
@@ -40,6 +42,7 @@ __all__ = [
     "TailRule",
     "SequenceSpec",
     "term",
+    "terms",
     "complement",
     "side_index_count",
     "side_indices",
@@ -214,6 +217,9 @@ class ZeroTail:
     def term(self, i: int) -> float:
         return 0.0
 
+    def terms(self, count: int) -> list[float]:
+        return [0.0] * count
+
     def complement(self) -> "OneTail":
         return OneTail()
 
@@ -238,6 +244,9 @@ class OneTail:
 
     def term(self, i: int) -> float:
         return 1.0
+
+    def terms(self, count: int) -> list[float]:
+        return [1.0] * count
 
     def complement(self) -> ZeroTail:
         return ZeroTail()
@@ -282,6 +291,10 @@ class GeometricLow(_Geometric):
     def term(self, i: int) -> float:
         return self.c * self.r**i
 
+    def terms(self, count: int) -> list[float]:
+        c, r = self.c, self.r
+        return [c * r**i for i in range(1, count + 1)]
+
     def complement(self) -> "GeometricHigh":
         return GeometricHigh(self.c, self.r)
 
@@ -305,6 +318,10 @@ class GeometricHigh(_Geometric):
 
     def term(self, i: int) -> float:
         return 1.0 - self.c * self.r**i
+
+    def terms(self, count: int) -> list[float]:
+        c, r = self.c, self.r
+        return [1.0 - c * r**i for i in range(1, count + 1)]
 
     def complement(self) -> GeometricLow:
         return GeometricLow(self.c, self.r)
@@ -335,6 +352,16 @@ class Interleave:
         if i % 2 == 1:
             return self.first.term((i + 1) // 2)
         return self.second.term(i // 2)
+
+    def terms(self, count: int) -> list[float]:
+        out = [0.0] * count
+        try:
+            out[::2] = self.first.terms((count + 1) // 2)
+            out[1::2] = self.second.terms(count // 2)
+        except TailCertificateError:
+            # The error must name the first failing position in interleaved order.
+            return [self.term(i) for i in range(1, count + 1)]
+        return out
 
     def complement(self) -> "Interleave":
         return Interleave(self.first.complement(), self.second.complement())
@@ -408,6 +435,16 @@ class _Divergent:
             raise self._failed(i, exc) from exc
         return 0.0
 
+    def _gs(self, count: int) -> list[float]:
+        """``[self._g(i) for i in 1..count]``, with the generator mapped over the range."""
+        try:
+            values = list(map(self._fn, range(1, count + 1)))
+            return [(v if v < 0.5 else 0.5) if v > 0.0 else 0.0 for v in values]
+        except _GEN_ERRORS:
+            # The generator is a pure function of i: the term-by-term pass
+            # fails at the same first index, with the message ``term`` gives.
+            return [self._g(i) for i in range(1, count + 1)]
+
     def _head(self, budget: int) -> range:
         """The indices below the certificate's start, at most ``budget`` of them."""
         start = self.certificate.start
@@ -434,6 +471,9 @@ class DivergentLow(_Divergent):
 
     def term(self, i: int) -> float:
         return self._g(i)
+
+    def terms(self, count: int) -> list[float]:
+        return self._gs(count)
 
     def complement(self) -> "DivergentHigh":
         return DivergentHigh(self.generator, self.certificate)
@@ -465,6 +505,9 @@ class DivergentHigh(_Divergent):
 
     def term(self, i: int) -> float:
         return 1.0 - self._g(i)
+
+    def terms(self, count: int) -> list[float]:
+        return [1.0 - v for v in self._gs(count)]
 
     def complement(self) -> DivergentLow:
         return DivergentLow(self.generator, self.certificate)
@@ -521,6 +564,12 @@ def term(spec: SequenceSpec, i: int) -> float:
     if i <= len(spec.prefix):
         return spec.prefix[i - 1]
     return spec.tail.term(i - len(spec.prefix))
+
+
+def terms(spec: SequenceSpec, count: int) -> list[float]:
+    """Values of sequence positions ``1..count``: ``[term(spec, i) for i in 1..count]``."""
+    head = list(spec.prefix[: max(count, 0)])
+    return head + spec.tail.terms(count - len(head))
 
 
 def complement(spec: SequenceSpec) -> SequenceSpec:

@@ -391,13 +391,18 @@ def test_builds_reuse_the_reported_side_sums(monkeypatch):
 )
 def test_case_a_evaluates_each_term_once(monkeypatch, spec, alpha):
     seen = []
-    real = carpenter.term
+    real, real_batch = carpenter.term, carpenter.terms
 
     def counted(s, i):
         seen.append((s, i))
         return real(s, i)
 
+    def counted_batch(s, count):
+        seen.extend((s, i) for i in range(1, count + 1))
+        return real_batch(s, count)
+
     monkeypatch.setattr(carpenter, "term", counted)
+    monkeypatch.setattr(carpenter, "terms", counted_batch)
     build_case_a(spec, alpha, depth=3)
     assert len(seen) >= 4096  # the selection sample at least
     assert len(set(seen)) == len(seen)
@@ -406,13 +411,18 @@ def test_case_a_evaluates_each_term_once(monkeypatch, spec, alpha):
 @pytest.mark.parametrize("budget", [10, 100])
 def test_case_a_order_sample_stays_within_budget(monkeypatch, budget):
     seen = []
-    real = carpenter.term
+    real, real_batch = carpenter.term, carpenter.terms
 
     def counted(s, i):
         seen.append(s)
         return real(s, i)
 
+    def counted_batch(s, count):
+        seen.extend([s] * count)
+        return real_batch(s, count)
+
     monkeypatch.setattr(carpenter, "term", counted)
+    monkeypatch.setattr(carpenter, "terms", counted_batch)
     spec = SequenceSpec((), DivergentLow("0.4/sqrt(i)", Certificate("harmonic", 0.4)))
     try:
         build_case_a(spec, 0.3, 3, budget=budget)

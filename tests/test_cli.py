@@ -96,6 +96,50 @@ def test_synth_survives_an_overflowing_spread(tmp_path, capsys):
     assert np.max(np.abs(np.diag(load_matrix(out)))) <= roundoff
 
 
+def test_majorize_exits_three_when_its_replay_misses(tmp_path, capsys, monkeypatch):
+    real = cli.replay_t_transform_plan
+    monkeypatch.setattr(cli, "replay_t_transform_plan", lambda plan, y: real(plan, y) + 1e-6)
+    x = _write_vector(tmp_path / "x.json", [2.0, 2.0, 2.0])
+    y = _write_vector(tmp_path / "y.json", [3.0, 2.0, 1.0])
+    code = main(["majorize", x, y, "--decompose", str(tmp_path / "plan.json")])
+    captured = capsys.readouterr()
+    assert code == 3
+    pairs = dict(line.split("=", 1) for line in captured.out.splitlines())
+    assert float(pairs["replay_error"]) >= 1e-7  # still printed
+    assert "replay_error" in captured.err
+
+
+@pytest.mark.parametrize(
+    "target, shift, scale, tol, code",
+    [
+        ("synthesize_hermitian", 1e-6, 1.0, "1e-9", 3),  # diagonal (and spectrum) off
+        ("hermitian_eigenvalues", 1e-6, 1.0, "1e-9", 3),  # spectrum off
+        ("hermitian_eigenvalues", np.nan, 1.0, "1e-9", 3),
+        ("hermitian_eigenvalues", 1e-6, 1e6, "1e-9", 0),  # within 1e-9 * max|y| = 2e-3
+        ("hermitian_eigenvalues", 1e-6, 1.0, "4e-7", 3),  # bound 8e-7
+        ("hermitian_eigenvalues", 1e-6, 1.0, "6e-7", 0),  # bound 1.2e-6
+    ],
+)
+def test_synth_exits_three_when_its_own_check_misses(
+    tmp_path, capsys, monkeypatch, target, shift, scale, tol, code
+):
+    real = getattr(cli, target)
+    if target == "synthesize_hermitian":
+        def perturbed(x, y, tol):
+            res = real(x, y, tol)
+            return type(res)(res.matrix + shift * np.eye(len(x)), res.unitary)
+    else:
+        def perturbed(a):
+            return real(a) + shift
+    monkeypatch.setattr(cli, target, perturbed)
+    d = _write_vector(tmp_path / "d.json", [scale, scale, scale])
+    s = _write_vector(tmp_path / "s.json", [2.0 * scale, scale, 0.0])
+    assert main(["synth", d, s, "--out", str(tmp_path / "a.json"), "--tol", tol]) == code
+    pairs = _kv(capsys)
+    assert not float(pairs["spectrum_error"]) < 1e-7  # printed, NaN included
+    assert pairs.keys() >= {"n", "hermitian_residual", "unitary_residual", "diagonal_error"}
+
+
 def test_majorize_false_exits_one(tmp_path, capsys):
     x = _write_vector(tmp_path / "x.json", [3.0, 1.0])
     y = _write_vector(tmp_path / "y.json", [2.0, 2.0])

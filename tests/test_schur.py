@@ -18,6 +18,7 @@ from schurhorn import (
     synthesize_hermitian,
     unitary_residual,
 )
+from schurhorn import schur
 from schurhorn.schur import _rotate
 
 from conftest import (
@@ -153,6 +154,75 @@ def test_in_place_chain_matches_dense_reference(n):
     want_b, want_v = _dense_chain(a, target)
     assert np.max(np.abs(b - want_b)) <= 1e-12
     assert np.max(np.abs(v - want_v)) <= 1e-12
+
+
+def _array_step(a, u, j, k, t):
+    """Reference rotation step: a numpy 2x2 block through ``kadison_rotation``,
+    then the same row and column products as the engine."""
+    g = kadison_rotation(np.array([[a[j, j], a[j, k]], [a[k, j], a[k, k]]]), t)
+    if j > k:
+        j, k, g = k, j, g[::-1, ::-1]
+    pair = slice(j, k + 1, k - j)
+    a[pair] = g @ a[pair]
+    a[:, pair] = a[:, pair] @ g.conj().T
+    if u is not None:
+        u[pair] = g @ u[pair]
+
+
+def _same_bits(p, q):
+    return p.shape == q.shape and p.tobytes() == q.tobytes()
+
+
+@pytest.mark.parametrize("n", [16, 64])
+def test_scalar_step_is_bitwise_the_array_step(monkeypatch, n):
+    rng = np.random.default_rng(309 + n)
+    # Random steps on a dense Hermitian matrix (the Case-A repair case), with
+    # j > k as often as j < k.
+    a = random_hermitian(rng, n)
+    b, ref_b = a.astype(np.complex128), a.astype(np.complex128)
+    v, ref_v = np.eye(n, dtype=np.complex128), np.eye(n, dtype=np.complex128)
+    steps = [(*map(int, rng.choice(n, size=2, replace=False)), float(rng.random()))
+             for _ in range(3 * n)]
+    assert any(j > k for j, k, _ in steps) and any(j < k for j, k, _ in steps)
+    for j, k, t in steps:
+        _rotate(b, v, j, k, t)
+        _array_step(ref_b, ref_v, j, k, t)
+    assert _same_bits(b, ref_b) and _same_bits(v, ref_v)
+
+    # Whole chains through the engine, against the engine run on the reference step.
+    x, y = random_majorized_pair(rng, n)
+    target = random_doubly_stochastic(rng, n) @ np.diag(a).real
+    runs = [lambda: synthesize_hermitian(x, y), lambda: conjugate_to_diagonal(a, target)]
+    got = [run() for run in runs]
+    monkeypatch.setattr(schur, "_rotate", _array_step)
+    want = [run() for run in runs]
+    assert _same_bits(got[0].matrix, want[0].matrix)
+    assert _same_bits(got[0].unitary, want[0].unitary)
+    assert _same_bits(got[1][0], want[1][0]) and _same_bits(got[1][1], want[1][1])
+
+
+@pytest.mark.parametrize(
+    "entry, value, t",
+    [
+        ((1, 1), np.nan, 0.5),
+        ((2, 1), complex(np.inf, 0.0), 0.5),
+        ((1, 2), 2e-8, 0.5),  # off-diagonal defect: |A_12 - conj(A_21)| = 2e-8
+        ((2, 2), 1.0 + 1e-8j, 0.5),  # imaginary diagonal: |A_22 - conj(A_22)| = 2e-8
+        ((1, 1), 1.0, 1.5),
+        ((1, 1), 1.0, -1e-3),
+        ((1, 1), 1.0, np.nan),
+    ],
+    ids=["nan", "inf", "off-diagonal", "imaginary-diagonal", "t-above", "t-below", "t-nan"],
+)
+def test_rotation_checks_raise_through_both_paths(entry, value, t):
+    a = np.diag([0.0, 1.0, 0.5, 2.0]).astype(np.complex128)
+    a[entry] = value
+    with pytest.raises(ValueError):
+        kadison_rotation(a[1:3, 1:3], t)
+    with pytest.raises(ValueError):
+        _rotate(a, None, 1, 2, t)
+    with pytest.raises(ValueError):
+        _rotate(a, None, 2, 1, t)
 
 
 def test_synthesis_at_n256_meets_criterion_3_bounds():
