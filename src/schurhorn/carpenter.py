@@ -25,10 +25,8 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, replace
-from statistics import median
 
 import numpy as np
 
@@ -52,8 +50,6 @@ __all__ = [
     "Feasibility",
     "KadisonReport",
     "TruncatedProjection",
-    "MonotoneSelection",
-    "MonotoneSelectionError",
     "VerificationReport",
     "kadison_sums",
     "feasibility",
@@ -61,7 +57,6 @@ __all__ = [
     "build_case_a",
     "projection_with_trace",
     "projection_with_cotrace",
-    "monotone_divergent_subsequence",
     "block_projection_from_partition",
     "projection_increment_norms",
     "verify_truncation",
@@ -69,8 +64,7 @@ __all__ = [
 
 _CHAIN_TOL = 1e-9  # tolerance of the builders' rotation chains
 _TRACE_TOL = 1e-8  # how far a projection_with_trace trace may miss its integer
-_SELECTION_SAMPLE = 4096  # leading terms that pick the Case-A selection rule
-_ORDER_SAMPLE = 2048  # leading terms that pick the side Case-A tries first
+_ORDER_SAMPLE = 2048  # leading terms that pick the side Case-A builds on
 
 
 class Feasibility(enum.Enum):
@@ -278,93 +272,6 @@ def build_case_b(
     return [_complemented(p) for p in results] if complemented else results
 
 
-class MonotoneSelectionError(RuntimeError):
-    """No selection rule fits the sampled terms of a divergent sequence.
-
-    The spec itself is valid, so this is a limit of :func:`build_case_a`
-    (exit code 3), not malformed input.
-    """
-
-
-@dataclass(frozen=True)
-class MonotoneSelection:
-    """Rule for extracting a non-increasing divergent subsequence.
-
-    ``constant`` keeps values within ``tolerance`` of ``value`` (an infinite
-    cluster); ``descending`` keeps any value not exceeding the previously kept
-    one (up to ``tolerance``), which is the full stream when it is already
-    sorted and a greedy sub-stream otherwise.
-    """
-
-    kind: str
-    value: float | None
-    tolerance: float
-
-    def keeps(self, v: float, last_kept: float | None) -> bool:
-        if not 1e-12 < v < 1.0 - 1e-12:
-            return False
-        if self.kind == "constant":
-            return abs(v - self.value) <= self.tolerance
-        return last_kept is None or v <= last_kept + self.tolerance
-
-
-def _bucket(v: float) -> float:
-    return round(v, 9)
-
-
-def _largest_bucket(vals: list[float], need: int) -> list[float] | None:
-    """Largest group of ``vals`` sharing one :func:`_bucket` value, if it has
-    at least ``need`` members; of equal groups, the first to appear in ``vals``.
-
-    Rounding is monotone, so each group is a run of the sorted values, and a
-    run of ``need`` or more covers one of the positions ``need - 1``,
-    ``2 * need - 1``, ...: only the groups at those positions are measured.
-    """
-    ordered = sorted(vals)
-    step = max(need, 1)
-    runs: dict[int, int] = {}
-    for pos in range(step - 1, len(ordered), step):
-        key = _bucket(ordered[pos])
-        lo = bisect_left(ordered, key, key=_bucket)
-        runs[lo] = bisect_right(ordered, key, lo, key=_bucket)
-    size = max((hi - lo for lo, hi in runs.items()), default=0)
-    if size < need:
-        return None
-    tied = [lo for lo, hi in runs.items() if hi - lo == size]
-    if len(tied) > 1:
-        tied.sort(key=lambda lo: _first_at(vals, ordered[lo], ordered[lo + size - 1]))
-    return ordered[tied[0] : tied[0] + size]
-
-
-def _first_at(vals: list[float], low: float, high: float) -> int:
-    return next(j for j, v in enumerate(vals) if low <= v <= high)
-
-
-def monotone_divergent_subsequence(values, *, min_cluster: int = 16) -> MonotoneSelection | None:
-    """Pick a selection rule from sampled candidate values, or ``None``.
-
-    Tries, in order: an infinite constant cluster (many samples sharing one
-    value), an already non-increasing sample, and a greedy non-increasing
-    sub-stream that retains a substantial share of the sampled mass.
-    """
-    vals = [v for v in map(float, values) if 1e-12 < v < 1.0 - 1e-12]
-    if not vals:
-        return None
-    need = max(min_cluster, len(vals) // 4)
-    cluster = _largest_bucket(vals, need)
-    if cluster is not None and min(cluster) > 1e-6:
-        return MonotoneSelection("constant", float(median(cluster)), 1e-9)
-    if all(b <= a + 1e-12 for a, b in zip(vals, vals[1:])):
-        return MonotoneSelection("descending", None, 1e-12)
-    kept: list[float] = []
-    for v in vals:
-        if not kept or v <= kept[-1] + 1e-12:
-            kept.append(v)
-    if len(kept) >= need and sum(kept) >= 0.25 * sum(vals):
-        return MonotoneSelection("descending", None, 1e-12)
-    return None
-
-
 def block_projection_from_partition(blocks) -> np.ndarray:
     """Direct sum of projections, one per diagonal block (integer block sums)."""
     mats = [carpenter_finite(np.asarray(block, dtype=float)) for block in blocks]
@@ -378,31 +285,6 @@ def block_projection_from_partition(blocks) -> np.ndarray:
     return out
 
 
-def _attributed_order(spec: SequenceSpec, report: KadisonReport, sample_size: int, budget: int):
-    """Preferred complementation order for the divergent construction.
-
-    When neither side sum is ``inf`` it is read off the first ``_ORDER_SAMPLE``
-    terms of one pass over ``spec`` that also covers the ``sample_size``
-    terms of its selection sample; that pass is returned too (else ``None``).
-    The pass takes at most ``budget`` terms.
-    """
-    if report.low_sum == math.inf:
-        return [False, True], None
-    if report.high_complement_sum == math.inf:
-        return [True, False], None
-    alpha = report.alpha
-    count = min(max(sample_size, _ORDER_SAMPLE), budget)
-    values = terms(spec, count)
-    mass_low = 0.0
-    mass_high = 0.0
-    for v in values[:_ORDER_SAMPLE]:
-        if v <= alpha:
-            mass_low += v
-        else:
-            mass_high += 1.0 - v
-    return ([False, True] if mass_low >= mass_high else [True, False]), values
-
-
 def build_case_a(
     spec: SequenceSpec,
     alpha: float = 0.5,
@@ -412,18 +294,29 @@ def build_case_a(
 ) -> TruncatedProjection:
     """Truncated projection for a sequence with divergent threshold sums.
 
-    Extracts a non-increasing divergent subsequence ``b`` (working on the
-    complemented sequence when divergence lives on the high side) and builds
-    ``depth`` diagonal blocks with integer sums: block 1 is the single entry
-    ``b_1 + (1 - b_1)``; block ``k`` carries a few ``b`` terms pushed down by
-    the previous block's top-up ``delta_{k-1}`` (split proportionally over the
-    smallest head of ``b`` that can absorb it), at most one untouched term
-    from the remaining sequence, and a tail of ``b`` terms pushed up by the
-    new top-up ``delta_k`` that rounds the block sum to the next integer.
-    Unitaries acting across consecutive blocks then restore the pushed
-    entries to their exact values; only the final block's pushed-up tail
-    stays perturbed, so no finite residual bound is claimed
-    (``residual_bound = inf``).
+    Works on the low-side terms, those in ``(1e-12, alpha]`` (of the
+    complemented sequence at ``1 - alpha`` when divergence lives on the high
+    side), read once in index order; every other term waits in a queue.
+    Each block is cut from a window of low-side terms sorted by value,
+    descending, ties in index order.  Block 1 is the largest term ``b_1`` of
+    the first window whose sum reaches 1, pushed up to 1.  Block ``k`` holds
+    the head left for it by the previous window, pushed down by the previous
+    top-up ``delta_{k-1}`` (split proportionally), at most one untouched
+    queued term, and a tail: the fewest largest terms of a new window
+    (leftover terms first, then fresh ones) that sum to ``1 / (1 - m)``,
+    pushed up by the top-up ``delta_k`` that rounds the block sum to the
+    next integer.  ``m`` is the largest of ``b_1`` and the window, which
+    keeps every pushed-up entry at most 1.  The window's next-largest terms,
+    until they sum to ``delta_k``, are the next head; the rest go back to
+    the pool.  Sorting
+    puts each tail above the next head, so unitaries acting across
+    consecutive blocks restore the pushed entries to their exact values;
+    only the final block's pushed-up tail stays perturbed, so no finite
+    residual bound is claimed (``residual_bound = inf``).
+
+    When neither side sum is ``inf`` the side is the one with more mass among
+    the first ``_ORDER_SAMPLE`` terms.  The build reads at most ``budget``
+    terms, else :class:`BudgetExhaustedError`.
     """
     if depth < 2:
         raise ValueError("depth must be at least 2")
@@ -431,75 +324,85 @@ def build_case_a(
     if report.feasibility is not Feasibility.CASE_A:
         raise ValueError("the threshold sums are summable; use build_case_b instead")
 
-    sample_size = min(_SELECTION_SAMPLE, budget)
-    order, plain = _attributed_order(spec, report, sample_size, budget)
-    for complemented in order:
-        work_spec = complement(spec) if complemented else spec
-        work_alpha = 1.0 - alpha if complemented else alpha
-        if plain is None or complemented:
-            sample = terms(work_spec, sample_size)
-        else:
-            sample = plain[:sample_size]
-        selection = monotone_divergent_subsequence(v for v in sample if v <= work_alpha)
-        if selection is not None:
-            break
+    if math.inf in (report.low_sum, report.high_complement_sum):
+        complemented = report.low_sum != math.inf
+        sample: list[float] = []
     else:
-        raise MonotoneSelectionError(
-            "no monotone divergent subsequence is apparent in the sampled terms"
-        )
-
+        sample = terms(spec, min(_ORDER_SAMPLE, budget))
+        mass_low = sum(v for v in sample if v <= alpha)
+        complemented = mass_low < sum(1.0 - v for v in sample if v > alpha)
+        if complemented:
+            sample = []
+    work_spec = complement(spec) if complemented else spec
+    work_alpha = 1.0 - alpha if complemented else alpha
     queue: deque[tuple[int, float]] = deque()
 
-    def selected():
-        """Yield the kept ``(index, value)`` terms of the working sequence and
-        queue the others; a term comes from the selection sample while it lasts."""
-        last = None
+    def low_side():
+        """Yield the low-side ``(index, value)`` terms of the working sequence
+        and queue the others; a term comes from the side sample while it lasts."""
         for i in itertools.count(1):
             if i > budget:
                 raise BudgetExhaustedError(f"more than {budget} terms consumed")
-            v = sample[i - 1] if i <= sample_size else term(work_spec, i)
-            if v <= work_alpha and selection.keeps(v, last):
-                if selection.kind == "descending":
-                    last = v
+            v = sample[i - 1] if i <= len(sample) else term(work_spec, i)
+            if 1e-12 < v <= work_alpha:
                 yield i, v
             else:
                 queue.append((i, v))
 
-    b_terms = selected()
+    stream = low_side()
+    pool: list[tuple[int, float]] = []  # low-side terms read but not placed, in index order
 
-    def take(bound: float) -> tuple[list[tuple[int, float]], float]:
-        """Kept terms, in order, until their sum reaches ``bound``, and that sum."""
-        terms, total = [], 0.0
-        while total < bound:
-            idx, v = next(b_terms)
-            terms.append((idx, v))
-            total += v
-        return terms, total
+    def grow(mass: float) -> None:
+        """Move stream terms into the pool until they add at least ``mass``."""
+        added = 0.0
+        while added < mass:
+            pool.append(next(stream))
+            added += pool[-1][1]
 
-    first_idx, b1 = next(b_terms)
-    delta = 1.0 - b1
-    s_threshold = 1.0 / (1.0 - b1)
+    def reach(window, start: int, bound: float) -> tuple[int, float]:
+        """End of the shortest ``window[start:end]`` whose sum reaches ``bound``
+        (``len(window)`` if none does), and that sum."""
+        end, total = start, 0.0
+        while total < bound and end < len(window):
+            total += window[end][1]
+            end += 1
+        return end, total
+
     # Per block: entries as (index, built value, exact value), plus the spans
     # of pushed-down and pushed-up positions for the repair step.
-    blocks: list[list[tuple[int, float, float]]] = [[(first_idx, 1.0, b1)]]
-    down_parts: list[list[int]] = [[]]  # local positions pushed down, per block
-    up_parts: list[list[int]] = [[0]]  # local positions pushed up, per block
-
-    for _ in range(2, depth + 1):
-        absorb, total = take(delta)
-        entries = [(idx, v - (v / total) * delta, v) for idx, v in absorb]
-        running = total - delta
-        if queue:
+    blocks: list[list[tuple[int, float, float]]] = []
+    down_parts: list[list[int]] = []  # local positions pushed down, per block
+    up_parts: list[list[int]] = []  # local positions pushed up, per block
+    head: list[tuple[int, float]] = []
+    head_total = delta = b1 = 0.0
+    grow(1.0)
+    for k in range(1, depth + 1):
+        entries = [(idx, v - (v / head_total) * delta, v) for idx, v in head]
+        running = head_total - delta
+        if k > 1 and queue:
             idx, v = queue.popleft()
             entries.append((idx, v, v))
             running += v
-        tail, tail_total = take(s_threshold)
-        running += tail_total
-        delta = math.floor(running) + 1.0 - running
-        down_parts.append(list(range(len(absorb))))
-        up_parts.append(list(range(len(entries), len(entries) + len(tail))))
-        entries += [(idx, v + (v / tail_total) * delta, v) for idx, v in tail]
+        while True:
+            window = sorted(pool, key=lambda t: -t[1])
+            if k == 1:
+                b1 = bound = window[0][1]  # block 1's tail is its largest term
+            else:
+                bound = 1.0 / (1.0 - max(b1, window[0][1] if window else 0.0))
+            cut, tail_total = reach(window, 0, bound)
+            total = running + tail_total
+            next_delta = math.floor(total) + 1.0 - total
+            need = next_delta if k < depth else 0.0
+            stop, next_total = reach(window, cut, need)
+            if tail_total >= bound and next_total >= need:
+                break
+            grow(max(bound - tail_total, 0.0) + need - next_total)
+        down_parts.append(list(range(len(head))))
+        up_parts.append(list(range(len(entries), len(entries) + cut)))
+        entries += [(idx, v + (v / tail_total) * next_delta, v) for idx, v in window[:cut]]
         blocks.append(entries)
+        head, head_total, delta = window[cut:stop], next_total, next_delta
+        pool[:] = sorted(window[stop:])
 
     offsets = list(itertools.accumulate(map(len, blocks), initial=0))
     matrix = block_projection_from_partition(

@@ -2,10 +2,11 @@
 
 All decoding errors raise :class:`FormatError` so callers (notably the CLI)
 can distinguish malformed input from numerical failure; that includes numbers
-outside the float range.  Each ``save_*`` writes exactly the text of
-``json.dumps`` (default separators, one line, plus a newline) of the matching
-``*_to_obj`` object.  The matrix, truncated-projection and plan writers build
-that text themselves and format each distinct float once.  Formats:
+outside the float range, and JSON nested too deeply to parse.  Each file is
+compact JSON text as ``json.dumps`` writes it (default separators, one line,
+plus a newline).  Vectors and sequences are written through their
+``*_to_obj`` objects; the matrix, truncated-projection and plan writers
+build their text directly and format each distinct float once.  Formats:
 
 * matrix: ``{"n": int, "data": [[re, im], ...]}`` with ``n**2`` row-major
   entries;
@@ -53,15 +54,12 @@ __all__ = [
     "save_sequence_spec",
     "load_truncated_projection",
     "save_truncated_projection",
-    "matrix_to_obj",
     "matrix_from_obj",
     "vector_to_obj",
     "vector_from_obj",
-    "plan_to_obj",
     "plan_from_obj",
     "spec_to_obj",
     "spec_from_obj",
-    "truncated_projection_to_obj",
     "truncated_projection_from_obj",
 ]
 
@@ -79,6 +77,8 @@ def _read_json(path) -> object:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise FormatError(f"{path} nests JSON too deeply") from exc
 
 
 def _write_text(path, text: str) -> None:
@@ -105,8 +105,12 @@ def _float_texts(values: np.ndarray) -> np.ndarray:
 
 
 def _matrix_json(m, fields: dict) -> str:
-    """``json.dumps(matrix_to_obj(m) | fields)``, with each distinct float formatted once."""
-    m = np.ascontiguousarray(_square_matrix(m))
+    """``json.dumps`` text of ``{"n": n, "data": [[re, im], ...]}`` (row-major)
+    for the square matrix ``m``, then ``fields``; each distinct float is
+    formatted once."""
+    m = np.ascontiguousarray(m, dtype=np.complex128)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise FormatError(f"expected a square matrix, got shape {m.shape}")
     texts = _float_texts(m.reshape(-1).view(np.float64))  # re, im interleaved
     pieces = np.empty(2 * texts.size, dtype=object)
     pieces[0::2] = texts
@@ -169,19 +173,6 @@ def _finite_floats(values, count: int, context: str) -> np.ndarray:
     return out
 
 
-def _square_matrix(m) -> np.ndarray:
-    m = np.asarray(m, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise FormatError(f"expected a square matrix, got shape {m.shape}")
-    return m
-
-
-def matrix_to_obj(m) -> dict:
-    m = _square_matrix(m)
-    flat = m.reshape(-1)
-    return {"n": int(m.shape[0]), "data": np.stack((flat.real, flat.imag), 1).tolist()}
-
-
 def matrix_from_obj(obj) -> np.ndarray:
     n = _require(obj, "n", int, "matrix")
     data = _require(obj, "data", list, "matrix")
@@ -217,19 +208,6 @@ def vector_from_obj(obj) -> np.ndarray:
         pos = next(pos for pos, x in enumerate(values) if not _is_number(x))
         raise FormatError(f"vector: entry {pos} must be a number")
     return _finite_floats(values, len(values), "vector")
-
-
-def _plan_orders(plan: TTransformPlan) -> dict:
-    """The keys after ``transforms`` in a plan object, in file order."""
-    return {
-        "source_order": [p + 1 for p in plan.source_order],
-        "placement": [p + 1 for p in plan.placement],
-    }
-
-
-def plan_to_obj(plan: TTransformPlan) -> dict:
-    transforms = [{"j": tr.j + 1, "k": tr.k + 1, "t": tr.t} for tr in plan.transforms]
-    return {"transforms": transforms} | _plan_orders(plan)
 
 
 def plan_from_obj(obj) -> TTransformPlan:
@@ -299,20 +277,6 @@ def spec_from_obj(obj) -> SequenceSpec:
         raise FormatError(f"sequence: {exc}") from exc
 
 
-def _projection_fields(t: TruncatedProjection) -> dict:
-    """The keys a truncated projection adds to its matrix object, in file order."""
-    return {
-        "depth": t.depth,
-        "covered": list(t.covered),
-        "residual_bound": t.residual_bound,
-        "permutation": list(t.diagonal_map),
-    }
-
-
-def truncated_projection_to_obj(t: TruncatedProjection) -> dict:
-    return matrix_to_obj(t.matrix) | _projection_fields(t)
-
-
 def truncated_projection_from_obj(obj) -> TruncatedProjection:
     matrix = matrix_from_obj(obj)
     depth = _require(obj, "depth", int, "truncated projection")
@@ -360,7 +324,11 @@ def save_plan(path, plan: TTransformPlan) -> None:
         f'{{"j": {tr.j + 1}, "k": {tr.k + 1}, "t": {t}}}'
         for tr, t in zip(plan.transforms, ts.tolist())
     )
-    _write_text(path, f'{{"transforms": [{transforms}], {json.dumps(_plan_orders(plan))[1:]}')
+    orders = {
+        "source_order": [p + 1 for p in plan.source_order],
+        "placement": [p + 1 for p in plan.placement],
+    }
+    _write_text(path, f'{{"transforms": [{transforms}], {json.dumps(orders)[1:]}')
 
 
 def load_sequence_spec(path) -> SequenceSpec:
@@ -376,4 +344,10 @@ def load_truncated_projection(path) -> TruncatedProjection:
 
 
 def save_truncated_projection(path, t: TruncatedProjection) -> None:
-    _write_text(path, _matrix_json(t.matrix, _projection_fields(t)))
+    fields = {
+        "depth": t.depth,
+        "covered": list(t.covered),
+        "residual_bound": t.residual_bound,
+        "permutation": list(t.diagonal_map),
+    }
+    _write_text(path, _matrix_json(t.matrix, fields))

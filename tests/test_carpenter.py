@@ -1,9 +1,7 @@
 """Threshold-sum feasibility and the two truncated-projection constructions."""
 
 import math
-import random
 from collections import Counter
-from statistics import median
 
 import numpy as np
 import pytest
@@ -18,8 +16,6 @@ from schurhorn import (
     GeometricLow,
     InfeasibleDiagonalError,
     Interleave,
-    MonotoneSelection,
-    MonotoneSelectionError,
     OneTail,
     SequenceSpec,
     TailCertificateError,
@@ -29,7 +25,6 @@ from schurhorn import (
     build_case_b,
     feasibility,
     kadison_sums,
-    monotone_divergent_subsequence,
     projection_entry_excess,
     projection_increment_norms,
     projection_residual,
@@ -173,18 +168,6 @@ def test_case_b_rejections():
         build_case_b(HALF_INTERLEAVE, depth=8, budget=2)
 
 
-def test_monotone_divergent_subsequence_rules():
-    sel = monotone_divergent_subsequence([0.5] * 40)
-    assert sel is not None and sel.kind == "constant"
-    assert sel.value == pytest.approx(0.5)
-    sel = monotone_divergent_subsequence([1.0 / (i + 2) for i in range(1, 100)])
-    assert sel is not None and sel.kind == "descending"
-    # strictly increasing stream has no usable non-increasing sub-stream
-    assert monotone_divergent_subsequence([0.5 - 1.0 / (i + 2) for i in range(1, 100)]) is None
-    assert monotone_divergent_subsequence([]) is None
-    assert monotone_divergent_subsequence([0.0, 1.0]) is None
-
-
 def test_block_projection_from_partition():
     p = block_projection_from_partition([[0.5, 0.5], [1.0]])
     assert projection_residual(p) <= 1e-12
@@ -209,14 +192,16 @@ def test_case_a_constant_half_frozen():
     assert verify_truncation(CONSTANT_HALF, t).ok
 
 
-def test_case_a_constant_with_queue_entries():
-    # terms 0.5, 0.25, 1/6, 0.125 visit the queue; the constant 0.1 cluster
-    # drives the blocks and one queued term is re-inserted per block
-    spec = SequenceSpec((), DivergentLow("max(0.1, 0.5/i)", Certificate("constant", 0.1)))
+def test_case_a_with_queue_entries():
+    # the high prefix terms 0.9 and 0.6 visit the queue while the low terms
+    # drive the blocks; one queued term is re-inserted per block
+    spec = SequenceSpec(
+        (0.9, 0.1, 0.6), DivergentLow("0.4/sqrt(i)", Certificate("harmonic", 0.4))
+    )
     t = build_case_a(spec, depth=3)
     assert verify_truncation(spec, t).ok
     covered = set(t.covered)
-    assert 1 in covered and 2 in covered  # queued terms 0.5 and 0.25 restored
+    assert 1 in covered and 3 in covered  # queued terms 0.9 and 0.6 restored
     for pos, idx in enumerate(t.diagonal_map):
         if idx in covered:
             assert t.matrix[pos, pos].real == pytest.approx(term(spec, idx), abs=1e-9)
@@ -250,12 +235,68 @@ def test_case_a_rejections():
         build_case_a(HALF_INTERLEAVE)  # summable: wrong construction
     with pytest.raises(BudgetExhaustedError):
         build_case_a(CONSTANT_HALF, depth=3, budget=10)
+    # An oscillating stream holds no monotone divergent run; sorted windows
+    # build it all the same.
     oscillating = SequenceSpec(
         (), DivergentLow("0.25 + 0.2*sin(i)", Certificate("constant", 0.05))
     )
-    # A valid spec outside the construction's reach: a numerical limit, not bad input.
-    with pytest.raises(MonotoneSelectionError):
-        build_case_a(oscillating, depth=3)
+    assert verify_truncation(oscillating, build_case_a(oscillating, depth=3)).ok
+
+
+# Certified divergent generators whose terms are not non-increasing
+# (oscillating, periodic or increasing): each must build on either side.
+PROBE_GENERATORS = [
+    pytest.param("0.3+0.2*sin(i)**2", Certificate("constant", 0.3), id="sin-squared"),
+    pytest.param("0.2+0.1*(i%7)/7", Certificate("constant", 0.2), id="period-7"),
+    pytest.param("0.2*abs(sin(i))+0.2/i", Certificate("harmonic", 0.2), id="abs-sin-harmonic"),
+    pytest.param("0.25+0.2*sin(i)", Certificate("constant", 0.05), id="sin"),
+    pytest.param("0.35-0.1/i", Certificate("constant", 0.25), id="increasing"),
+    pytest.param("0.1+0.4*abs(cos(i))", Certificate("constant", 0.1), id="abs-cos"),
+]
+
+
+@pytest.mark.parametrize("generator, certificate", PROBE_GENERATORS)
+@pytest.mark.parametrize("side", [DivergentLow, DivergentHigh])
+@pytest.mark.parametrize("depth, prefix", [(3, ()), (6, (0.9, 0.1, 0.6))], ids=["d3", "d6-prefix"])
+def test_case_a_probe_specs_build_and_verify(generator, certificate, side, depth, prefix):
+    spec = SequenceSpec(prefix, side(generator, certificate))
+    alphas = [a for a in (0.3, 0.45, 0.5, 0.55, 0.7)
+              if feasibility(spec, a).feasibility is Feasibility.CASE_A]
+    assert alphas
+    for alpha in alphas:
+        assert verify_truncation(spec, build_case_a(spec, alpha, depth)).ok, alpha
+
+
+def test_case_a_tail_bound_follows_the_window_maximum():
+    # b1 = 0.2 comes from the prefix, but later windows hold 0.6 and 0.7: a
+    # tail bound of 1/(1 - b1) would push 0.7 above 1 at depth 2.
+    spec = SequenceSpec(
+        (0.2,) * 5, DivergentHigh("0.3+0.1*(i%2)", Certificate("constant", 0.3))
+    )
+    for depth in (2, 3, 4):
+        assert verify_truncation(spec, build_case_a(spec, 0.7, depth)).ok
+
+
+@pytest.mark.parametrize(
+    "generator, certificate, depth, dim, last_covered",
+    [
+        pytest.param("0.495/sqrt(i)", Certificate("harmonic", 0.495), 3, 47, 23, id="sqrt-d3"),
+        pytest.param("0.495/sqrt(i)", Certificate("harmonic", 0.495), 5, 165, 117, id="sqrt-d5"),
+        pytest.param("0.3", Certificate("constant", 0.3), 3, 16, 11, id="constant-d3"),
+        pytest.param("0.3", Certificate("constant", 0.3), 5, 29, 24, id="constant-d5"),
+        pytest.param("0.25+0.15/i", Certificate("constant", 0.25), 3, 18, 11, id="harmonic-sum-d3"),
+        pytest.param("0.25+0.15/i", Certificate("constant", 0.25), 5, 37, 30, id="harmonic-sum-d5"),
+    ],
+)
+def test_case_a_benchmark_families_frozen(generator, certificate, depth, dim, last_covered):
+    # The perfbench Case-A families are non-increasing, so each sorted window
+    # is in stream order and the blocks take consecutive indices.
+    spec = SequenceSpec((), DivergentLow(generator, certificate))
+    t = build_case_a(spec, 0.5, depth)
+    assert t.matrix.shape == (dim, dim)
+    assert t.diagonal_map == tuple(range(1, dim + 1))
+    assert t.covered == tuple(range(1, last_covered + 1))
+    assert verify_truncation(spec, t).ok
 
 
 def test_projection_with_trace_examples():
@@ -302,66 +343,6 @@ def test_verify_truncation_detects_tampering():
     assert report.diagonal_error > 1e-3
 
 
-def _reference_monotone(values, *, min_cluster: int = 16):
-    """The bucket-per-value selection that the sorted-sample version replaced."""
-    vals = [float(v) for v in values if 1e-12 < float(v) < 1.0 - 1e-12]
-    if not vals:
-        return None
-    buckets: dict[float, list[float]] = {}
-    for v in vals:
-        buckets.setdefault(round(v, 9), []).append(v)
-    anchor = max(buckets, key=lambda key: len(buckets[key]))
-    cluster = buckets[anchor]
-    if len(cluster) >= max(min_cluster, len(vals) // 4) and min(cluster) > 1e-6:
-        return MonotoneSelection("constant", float(median(cluster)), 1e-9)
-    if all(b <= a + 1e-12 for a, b in zip(vals, vals[1:])):
-        return MonotoneSelection("descending", None, 1e-12)
-    kept: list[float] = []
-    for v in vals:
-        if not kept or v <= kept[-1] + 1e-12:
-            kept.append(v)
-    if len(kept) >= max(min_cluster, len(vals) // 4) and sum(kept) >= 0.25 * sum(vals):
-        return MonotoneSelection("descending", None, 1e-12)
-    return None
-
-
-def _selection_samples():
-    rng = random.Random(20021)
-    centre = 0.123456789
-    near = [centre + d for d in (0.0, 4e-10, -4e-10, 6e-10, -6e-10, 5e-10, -5e-10)]
-    yield [0.3] * 64
-    yield [rng.choice(near) for _ in range(400)]
-    yield [centre + (rng.random() - 0.5) * 2e-9 for _ in range(4096)]
-    for size in (32, 100, 4096):
-        two = [0.2] * (size // 2) + [0.4] * (size // 2)  # equal clusters: first seen wins
-        yield two
-        yield two[::-1]
-        rng.shuffle(two)
-        yield two
-        yield [v + rng.choice((0.0, 4e-10, -4e-10)) for v in two]
-    yield [0.5 / math.sqrt(i) for i in range(1, 4097)]
-    yield sorted((rng.random() for _ in range(500)), reverse=True)
-    yield [rng.random() for _ in range(500)]
-    yield [0.3 + 0.2 * math.sin(i) ** 2 for i in range(1, 2049)]
-    for size in range(1, 16):
-        yield [rng.choice((0.1, 0.2, 0.2 + 4e-10)) for _ in range(size)]
-        yield sorted((rng.random() for _ in range(size)), reverse=True)
-    yield [1e-12, 1.0 - 1e-12, 2e-12, 1.0 - 2e-12] * 20
-    yield [5e-7] * 40 + [0.25] * 39  # the largest cluster sits below 1e-6
-    yield [rng.randint(1, 9) / 10 for _ in range(1000)]
-    yield [rng.randint(1, 10**9 - 1) / 1e9 + rng.choice((5e-10, -5e-10)) for _ in range(300)]
-
-
-@pytest.mark.parametrize("values", list(_selection_samples()))
-@pytest.mark.parametrize("min_cluster", [16, 1])
-def test_monotone_selection_matches_bucket_reference(values, min_cluster):
-    def key(sel):
-        return None if sel is None else (sel.kind, repr(sel.value), sel.tolerance)
-
-    want = _reference_monotone(values, min_cluster=min_cluster)
-    assert key(monotone_divergent_subsequence(values, min_cluster=min_cluster)) == key(want)
-
-
 def test_builds_reuse_the_reported_side_sums(monkeypatch):
     calls = []
     for cls in (DivergentLow, GeometricLow):
@@ -404,7 +385,6 @@ def test_case_a_evaluates_each_term_once(monkeypatch, spec, alpha):
     monkeypatch.setattr(carpenter, "term", counted)
     monkeypatch.setattr(carpenter, "terms", counted_batch)
     build_case_a(spec, alpha, depth=3)
-    assert len(seen) >= 4096  # the selection sample at least
     assert len(set(seen)) == len(seen)
 
 

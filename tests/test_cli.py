@@ -11,7 +11,6 @@ from schurhorn import (
     FormatError,
     InfeasibleDiagonalError,
     MajorizationError,
-    MonotoneSelectionError,
     TailCertificateError,
     load_matrix,
     load_plan,
@@ -343,7 +342,6 @@ def test_slow_geometric_tail_classifies(tmp_path, capsys):
         (ConvergenceError("no convergence"), 3),
         (BudgetExhaustedError("budget"), 3),
         (RuntimeError("block repair failed"), 3),
-        (MonotoneSelectionError("no monotone subsequence"), 3),
         (FormatError("bad file"), 2),
         (TailCertificateError("bad certificate"), 2),
         (ValueError("bad value"), 2),
@@ -379,13 +377,30 @@ def test_generator_outside_whitelist_exits_two(tmp_path, capsys):
     assert "not allowed" in capsys.readouterr().err
 
 
-def test_case_a_without_monotone_subsequence_exits_three(tmp_path, capsys):
+def test_case_a_without_monotone_subsequence_builds(tmp_path, capsys):
     # A valid, certified spec whose terms hold no monotone divergent run.
     spec = _divergent_spec(tmp_path, 1, "0.3+0.2*sin(i)**2", p=0.3)
     assert main(["obstruction", spec, "--alpha", "0.4"]) == 0
     assert _kv(capsys)["case"] == "CaseA"
-    assert main(["obstruction", spec, "--alpha", "0.4", "--build", str(tmp_path / "t.json")]) == 3
-    assert "monotone" in capsys.readouterr().err
+    out = str(tmp_path / "t.json")
+    assert main(["obstruction", spec, "--alpha", "0.4", "--build", out]) == 0
+    capsys.readouterr()
+    assert main(["verify", out, "--spec", spec]) == 0
+    assert _kv(capsys)["ok"] == "true"
+
+
+def test_deeply_nested_json_exits_two(tmp_path, capsys):
+    # Nesting past the JSON parser's recursion limit is malformed input.
+    matrix = tmp_path / "m.json"
+    matrix.write_text('{"n": 1, "data": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    assert main(["verify", str(matrix)]) == 2
+    assert "nests JSON too deeply" in capsys.readouterr().err
+    nested = '{"kind": "interleave", "parts": [' * 900 + '{"kind": "zero"}'
+    nested += ', {"kind": "zero"}]}' * 900
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"prefix": [], "tail": ' + nested + "}")
+    assert main(["obstruction", str(spec)]) == 2
+    assert "nests JSON too deeply" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
