@@ -1,6 +1,7 @@
 """Threshold-sum feasibility and the two truncated-projection constructions."""
 
 import math
+import random
 from collections import Counter
 
 import numpy as np
@@ -31,6 +32,7 @@ from schurhorn import (
     projection_with_cotrace,
     projection_with_trace,
     term,
+    terms,
     verify_truncation,
 )
 from schurhorn import carpenter
@@ -192,12 +194,10 @@ def test_case_a_constant_half_frozen():
     assert verify_truncation(CONSTANT_HALF, t).ok
 
 
-def test_case_a_with_queue_entries():
+def test_case_a_constant_with_queue_entries():
     # the high prefix terms 0.9 and 0.6 visit the queue while the low terms
     # drive the blocks; one queued term is re-inserted per block
-    spec = SequenceSpec(
-        (0.9, 0.1, 0.6), DivergentLow("0.4/sqrt(i)", Certificate("harmonic", 0.4))
-    )
+    spec = SequenceSpec((0.9, 0.1, 0.6), DivergentLow("0.3", Certificate("constant", 0.3)))
     t = build_case_a(spec, depth=3)
     assert verify_truncation(spec, t).ok
     covered = set(t.covered)
@@ -296,6 +296,115 @@ def test_case_a_benchmark_families_frozen(generator, certificate, depth, dim, la
     assert t.matrix.shape == (dim, dim)
     assert t.diagonal_map == tuple(range(1, dim + 1))
     assert t.covered == tuple(range(1, last_covered + 1))
+    assert verify_truncation(spec, t).ok
+
+
+def _bucket_order(window):
+    """``window`` by value, largest first, equal values in index order."""
+    buckets: dict[float, list[tuple[int, float]]] = {}
+    for t in sorted(window):
+        buckets.setdefault(t[1], []).append(t)
+    return [t for v in sorted(buckets, reverse=True) for t in buckets[v]]
+
+
+def _reach(window, start, bound):
+    end, total = start, 0.0
+    while total < bound and end < len(window):
+        total += window[end][1]
+        end += 1
+    return end, total
+
+
+def _reference_blocks(values, alpha, depth):
+    """``(head, queued, tail)`` index lists of each Case-A block that the
+    window rule cuts from the low-side terms of ``values``."""
+    low = [(i, v) for i, v in enumerate(values, 1) if 1e-12 < v <= alpha]
+    high = [(i, v) for i, v in enumerate(values, 1) if not 1e-12 < v <= alpha]
+    read = taken = 0  # low terms moved into the pool, queued terms placed
+    pool: list[tuple[int, float]] = []
+    blocks, head = [], []
+    head_total = delta = b1 = 0.0
+
+    def grow(mass):
+        nonlocal read
+        added = 0.0
+        while added < mass:
+            pool.append(low[read])
+            added += low[read][1]
+            read += 1
+
+    grow(1.0)
+    for k in range(1, depth + 1):
+        running = head_total - delta
+        queued = [t for t in high if t[0] < low[read - 1][0]]  # read so far
+        placed = []
+        if k > 1 and taken < len(queued):
+            placed = [queued[taken]]
+            running += queued[taken][1]
+            taken += 1
+        while True:
+            window = _bucket_order(pool)
+            if k == 1:
+                b1 = bound = window[0][1]
+            else:
+                bound = 1.0 / (1.0 - max(b1, window[0][1] if window else 0.0))
+            cut, tail_total = _reach(window, 0, bound)
+            total = running + tail_total
+            next_delta = math.floor(total) + 1.0 - total
+            need = next_delta if k < depth else 0.0
+            stop, next_total = _reach(window, cut, need)
+            if tail_total >= bound and next_total >= need:
+                break
+            grow(max(bound - tail_total, 0.0) + need - next_total)
+        blocks.append(tuple([i for i, _ in t] for t in (head, placed, window[:cut])))
+        head, head_total, delta = window[cut:stop], next_total, next_delta
+        pool[:] = window[stop:]
+    return blocks
+
+
+def _selection_samples():
+    rng = random.Random(20021)
+    centre = 0.123456789
+    near = [centre + d for d in (0.0, 4e-10, -4e-10, 6e-10, -6e-10, 5e-10, -5e-10)]
+    yield [0.3] * 64
+    yield [rng.choice(near) for _ in range(400)]
+    yield [centre + (rng.random() - 0.5) * 2e-9 for _ in range(4096)]
+    for size in (32, 100, 4096):
+        two = [0.2] * (size // 2) + [0.4] * (size // 2)  # equal clusters
+        yield two
+        yield two[::-1]
+        rng.shuffle(two)
+        yield two
+        yield [v + rng.choice((0.0, 4e-10, -4e-10)) for v in two]
+    yield [0.5 / math.sqrt(i) for i in range(1, 4097)]
+    yield sorted((rng.random() for _ in range(500)), reverse=True)
+    yield [rng.random() for _ in range(500)]
+    yield [0.3 + 0.2 * math.sin(i) ** 2 for i in range(1, 2049)]
+    for size in range(1, 16):
+        yield [rng.choice((0.1, 0.2, 0.2 + 4e-10)) for _ in range(size)]
+        yield sorted((rng.random() for _ in range(size)), reverse=True)
+    yield [1e-12, 1.0 - 1e-12, 2e-12, 1.0 - 2e-12] * 20
+    yield [5e-7] * 40 + [0.25] * 39
+    yield [rng.randint(1, 9) / 10 for _ in range(1000)]
+    yield [rng.randint(1, 10**9 - 1) / 1e9 + rng.choice((5e-10, -5e-10)) for _ in range(300)]
+
+
+@pytest.mark.parametrize("values", list(_selection_samples()))
+@pytest.mark.parametrize("queued", [16, 1])
+def test_monotone_selection_matches_bucket_reference(values, queued):
+    # Tie-heavy, clustered, shuffled and oscillating streams, behind `queued`
+    # high-side terms and ahead of a constant low tail.  The blocks must be
+    # the ones a reference that orders each window by value buckets cuts, and
+    # every tail must sit above the next head: a monotone selection.
+    prefix = (0.9,) * queued + tuple(values)
+    spec = SequenceSpec(prefix, DivergentLow("0.3", Certificate("constant", 0.3)))
+    t = build_case_a(spec, 0.5, depth=3)
+    exact = terms(spec, len(prefix) + 200)
+    blocks = _reference_blocks(exact, 0.5, 3)
+    assert t.diagonal_map == tuple(i for block in blocks for part in block for i in part)
+    assert t.covered == tuple(sorted(set(t.diagonal_map) - set(blocks[-1][2])))
+    for (_, _, tail), (head, _, _) in zip(blocks, blocks[1:]):
+        assert min(exact[i - 1] for i in tail) >= max(exact[i - 1] for i in head)
     assert verify_truncation(spec, t).ok
 
 
