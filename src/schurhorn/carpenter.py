@@ -164,6 +164,7 @@ def build_case_b(
     depth: int = 1,
     *,
     budget: int = 100_000,
+    report: KadisonReport | None = None,
 ) -> list[TruncatedProjection]:
     """Tower ``P_1, ..., P_depth`` of projections for a summable-defect sequence.
 
@@ -177,10 +178,13 @@ def build_case_b(
 
     When only the high side carries infinite mass the construction runs on
     the complemented sequence at ``1 - alpha`` and returns ``I - Q``.
+    ``report``, when given, is ``feasibility(spec, alpha, budget=budget)``
+    already computed by the caller, and is used instead of a second scan.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    report = feasibility(spec, alpha, budget=budget)
+    if report is None:
+        report = feasibility(spec, alpha, budget=budget)
     if report.feasibility is Feasibility.CASE_A:
         raise ValueError("the threshold sums diverge; use build_case_a instead")
     if report.feasibility is Feasibility.INFEASIBLE:
@@ -291,6 +295,7 @@ def build_case_a(
     depth: int = 3,
     *,
     budget: int = 100_000,
+    report: KadisonReport | None = None,
 ) -> TruncatedProjection:
     """Truncated projection for a sequence with divergent threshold sums.
 
@@ -316,11 +321,13 @@ def build_case_a(
 
     When neither side sum is ``inf`` the side is the one with more mass among
     the first ``_ORDER_SAMPLE`` terms.  The build reads at most ``budget``
-    terms, else :class:`BudgetExhaustedError`.
+    terms, else :class:`BudgetExhaustedError`.  ``report`` is as for
+    :func:`build_case_b`.
     """
     if depth < 2:
         raise ValueError("depth must be at least 2")
-    report = feasibility(spec, alpha, budget=budget)
+    if report is None:
+        report = feasibility(spec, alpha, budget=budget)
     if report.feasibility is not Feasibility.CASE_A:
         raise ValueError("the threshold sums are summable; use build_case_b instead")
 

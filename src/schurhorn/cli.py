@@ -116,7 +116,7 @@ def _cmd_majorize(args) -> int:
         save_plan(args.decompose, plan)
         replay = replay_t_transform_plan(plan, y)
         replay_error = _max_gap(replay, x)
-        pairs += [("transforms", len(plan.transforms)), ("replay_error", replay_error)]
+        pairs += [("transforms", len(plan.t)), ("replay_error", replay_error)]
     _emit(pairs, args)
     _check_errors(pairs, args.tol, y)
     return 0 if ok else 1
@@ -176,10 +176,10 @@ def _cmd_obstruction(args) -> int:
     if args.build and not infeasible:
         if report.feasibility is Feasibility.CASE_A:
             depth = args.depth if args.depth is not None else 3
-            proj = build_case_a(spec, args.alpha, depth, budget=args.budget)
+            proj = build_case_a(spec, args.alpha, depth, budget=args.budget, report=report)
         else:
             depth = args.depth if args.depth is not None else 6
-            proj = build_case_b(spec, args.alpha, depth, budget=args.budget)[-1]
+            proj = build_case_b(spec, args.alpha, depth, budget=args.budget, report=report)[-1]
         save_truncated_projection(args.build, proj)
         pairs += [
             ("depth", proj.depth),

@@ -212,7 +212,7 @@ def vector_from_obj(obj) -> np.ndarray:
 
 def plan_from_obj(obj) -> TTransformPlan:
     raw = _require(obj, "transforms", list, "plan")
-    transforms = []
+    js, ks, ts = [], [], []
     for pos, entry in enumerate(raw):
         j = _require(entry, "j", int, f"plan transform {pos}")
         k = _require(entry, "k", int, f"plan transform {pos}")
@@ -220,14 +220,21 @@ def plan_from_obj(obj) -> TTransformPlan:
         if j < 1 or k < 1:
             raise FormatError(f"plan transform {pos}: positions are 1-based")
         try:
-            transforms.append(TTransform(j - 1, k - 1, t))
+            tr = TTransform(j - 1, k - 1, t)
         except ValueError as exc:
             raise FormatError(f"plan transform {pos}: {exc}") from exc
+        js.append(tr.j)
+        ks.append(tr.k)
+        ts.append(tr.t)
     source, placement = (
         _one_based(_require(obj, name, list, "plan"), f"plan {name}", "a 1-based integer")
         for name in ("source_order", "placement")
     )
-    return TTransformPlan(tuple(transforms), tuple(p - 1 for p in source),
+    # Every position indexes the frame, ``y`` in source order.
+    n = len(source)
+    if max(chain(js, ks), default=-1) >= n or max(chain(source, placement), default=0) > n:
+        raise FormatError(f"plan: a position exceeds the frame length {n}")
+    return TTransformPlan(tuple(js), tuple(ks), tuple(ts), tuple(p - 1 for p in source),
                           tuple(p - 1 for p in placement))
 
 
@@ -319,10 +326,10 @@ def load_plan(path) -> TTransformPlan:
 
 
 def save_plan(path, plan: TTransformPlan) -> None:
-    ts = _float_texts(np.array([tr.t for tr in plan.transforms], dtype=np.float64))
+    ts = _float_texts(np.array(plan.t, dtype=np.float64))
     transforms = ", ".join(
-        f'{{"j": {tr.j + 1}, "k": {tr.k + 1}, "t": {t}}}'
-        for tr, t in zip(plan.transforms, ts.tolist())
+        f'{{"j": {j + 1}, "k": {k + 1}, "t": {t}}}'
+        for j, k, t in zip(plan.j, plan.k, ts.tolist())
     )
     orders = {
         "source_order": [p + 1 for p in plan.source_order],

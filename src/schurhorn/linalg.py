@@ -78,8 +78,8 @@ def diagonal(a) -> np.ndarray:
     Raises if any diagonal entry carries imaginary residue above ``STRUCTURAL_TOL``.
     """
     a = as_matrix(a)
-    d = np.diag(a)
-    residue = float(np.max(np.abs(d.imag))) if d.size else 0.0
+    d = a.diagonal()
+    residue = float(np.abs(d.imag).max())  # as_matrix rejects the empty matrix
     if residue > STRUCTURAL_TOL:
         raise ValueError(
             f"diagonal has imaginary residue {residue:.3e} above {STRUCTURAL_TOL:.3e}"

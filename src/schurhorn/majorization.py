@@ -4,7 +4,9 @@
 top-k partial sum of ``x`` is at most the matching partial sum of ``y`` and the
 totals agree.  The decomposition routine below turns that order relation into
 an explicit chain of two-entry mixing steps (T-transforms), which is what the
-matrix constructions in :mod:`schurhorn.schur` consume.
+matrix constructions in :mod:`schurhorn.schur` consume.  A plan stores the
+chain as three columns -- positions ``j`` and ``k`` and weights ``t`` -- with
+no object per step.
 """
 
 from __future__ import annotations
@@ -17,12 +19,12 @@ import numpy as np
 
 __all__ = [
     "MajorizationError",
+    "PrefixSumOverflowError",
     "TTransform",
     "TTransformPlan",
     "as_vector",
     "majorizes",
     "majorizes_by_absolute_sums",
-    "apply_t_transform",
     "decompose_t_transforms",
     "replay_t_transform_plan",
     "verify_concentration",
@@ -33,28 +35,50 @@ class MajorizationError(ValueError):
     """The requested construction needs ``x`` majorised by ``y`` and it is not."""
 
 
+class PrefixSumOverflowError(RuntimeError):
+    """A prefix sum of the majorisation test left the float range: no verdict."""
+
+
 def as_vector(x) -> np.ndarray:
     v = np.asarray(x, dtype=float)
     if v.ndim != 1:
         raise ValueError(f"expected a 1-d real vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("vector entries must be finite")
     return v
 
 
 def majorizes(x, y, tol: float = 1e-9) -> bool:
-    """True when ``x`` is majorised by ``y`` (``x`` less spread out than ``y``)."""
-    x = as_vector(x)
-    y = as_vector(y)
+    """True when ``x`` is majorised by ``y`` (``x`` less spread out than ``y``).
+
+    Raises :class:`PrefixSumOverflowError` when a prefix sum overflows.
+    """
+    return _prefix_test(as_vector(x), as_vector(y), tol)[0]
+
+
+def _prefix_test(x: np.ndarray, y: np.ndarray, tol: float) -> tuple[bool, np.ndarray, np.ndarray]:
+    """Top-k prefix-sum test of ``x`` majorised by ``y`` (finite 1-d arrays).
+
+    Returns the verdict and the non-increasing sort orders of ``x`` and
+    ``y``, stable, so tied entries keep index order.  The prefix sums are
+    ``np.cumsum``'s, accumulated left to right; one that overflows raises
+    :class:`PrefixSumOverflowError`, as an infinite total decides nothing.
+    """
     if x.shape != y.shape:
         raise ValueError(f"length mismatch: {x.size} vs {y.size}")
-    cx = np.cumsum(np.sort(x)[::-1])
-    cy = np.cumsum(np.sort(y)[::-1])
-    if abs(cx[-1] - cy[-1]) > tol:
-        return False
-    if x.size == 1:
-        return True
-    return bool(np.all(cx[:-1] <= cy[:-1] + tol))
+    order_x = (-x).argsort(kind="stable")
+    order_y = (-y).argsort(kind="stable")
+    verdict = True
+    if x.size:
+        with np.errstate(over="ignore"):
+            cx = x[order_x].cumsum()
+            cy = y[order_y].cumsum()
+        # A running sum that overflows stays infinite, so the totals show it.
+        total_x, total_y = cx.item(-1), cy.item(-1)
+        if not (math.isfinite(total_x) and math.isfinite(total_y)):
+            raise PrefixSumOverflowError("a prefix sum overflows the float range")
+        verdict = not abs(total_x - total_y) > tol and bool((cx[:-1] <= cy[:-1] + tol).all())
+    return verdict, order_x, order_y
 
 
 def majorizes_by_absolute_sums(x, y, tol: float = 1e-9) -> bool:
@@ -107,41 +131,40 @@ class TTransform:
         object.__setattr__(self, "t", float(self.t))  # written as a JSON float
 
 
-def apply_t_transform(tr: TTransform, x) -> np.ndarray:
-    v = as_vector(x).copy()
-    _mix(tr, v)
-    return v
-
-
-def _mix(tr: TTransform, v) -> None:
-    """Apply ``tr`` in place to the list or array ``v``."""
-    if tr.j >= len(v) or tr.k >= len(v):
-        raise ValueError(f"positions ({tr.j}, {tr.k}) out of range for length {len(v)}")
-    vj, vk = v[tr.j], v[tr.k]
-    v[tr.j] = tr.t * vj + (1.0 - tr.t) * vk
-    v[tr.k] = (1.0 - tr.t) * vj + tr.t * vk
-
-
 @dataclass(frozen=True)
 class TTransformPlan:
-    """Decomposition of a majorisation into at most n-1 T-transforms.
+    """Decomposition of a majorisation into at most n-1 T-transforms, as columns.
 
-    The transforms act on the *frame*: ``y`` sorted non-increasingly, i.e. the
-    vector ``y[source_order]``.  After applying them in order, the frame holds
-    the entries of ``x``; ``placement[c]`` records the frame position holding
+    Step ``i`` is the :class:`TTransform` ``(j[i], k[i], t[i])``; the plan
+    stores the three columns, not one object per step.  The transforms act
+    on the *frame*: ``y`` sorted non-increasingly, i.e. the vector
+    ``y[source_order]``.  After applying them in order, the frame holds the
+    entries of ``x``; ``placement[c]`` records the frame position holding
     ``x[c]``.  :func:`replay_t_transform_plan` performs exactly this replay.
     """
 
-    transforms: tuple[TTransform, ...]
+    j: tuple[int, ...]
+    k: tuple[int, ...]
+    t: tuple[float, ...]
     source_order: tuple[int, ...]
     placement: tuple[int, ...]
+
+    @property
+    def transforms(self) -> tuple[TTransform, ...]:
+        """The steps as validated :class:`TTransform` objects, built on each access."""
+        return tuple(map(TTransform, self.j, self.k, self.t))
 
 
 def replay_t_transform_plan(plan: TTransformPlan, y) -> np.ndarray:
     """Apply a plan to ``y`` and return the result aligned with the target order."""
     w = as_vector(y)[list(plan.source_order)].tolist()
-    for tr in plan.transforms:
-        _mix(tr, w)
+    n = len(w)
+    for j, k, t in zip(plan.j, plan.k, plan.t):
+        if not (0 <= j < n and 0 <= k < n):
+            raise ValueError(f"positions ({j}, {k}) out of range for length {n}")
+        vj, vk = w[j], w[k]
+        w[j] = t * vj + (1.0 - t) * vk
+        w[k] = (1.0 - t) * vj + t * vk
     return np.array(w)[list(plan.placement)]
 
 
@@ -151,55 +174,64 @@ def decompose_t_transforms(x, y, tol: float = 1e-9) -> TTransformPlan:
     Repeatedly targets the largest remaining entry of ``x``: among the still
     active frame positions, the largest value is mixed with the first active
     value not exceeding the target, which places the target exactly and
-    removes one position from play.  At most ``n - 1`` transforms are emitted;
-    ``x == y`` yields none.
+    removes one position from play.  At most ``n - 1`` transforms are emitted
+    into the plan's ``j``, ``k`` and ``t`` columns; ``x == y`` yields none.
 
-    The active positions are kept as one list of ``(-value, position)`` keys
-    in increasing order.  A step changes a single value, so it costs one
-    bisection and one insertion rather than a re-sort: O(n log n) comparisons
-    in all.
+    The steps run on Python floats, in the orders the majorisation test
+    sorted ``x`` and ``y`` into.  The active positions are kept as one list of
+    ``(-value, position)`` keys in increasing order.  A step changes a single
+    value, so it costs one bisection and one insertion rather than a
+    re-sort: O(n log n) comparisons in all.
     """
     x = as_vector(x)
     y = as_vector(y)
-    if x.shape != y.shape:
-        raise ValueError(f"length mismatch: {x.size} vs {y.size}")
-    if not majorizes(x, y, tol):
+    ok, order_x, source_order = _prefix_test(x, y, tol)
+    if not ok:
         raise MajorizationError("x is not majorised by y")
     n = x.size
-    source_order = np.argsort(-y, kind="stable")
+    xs = x.tolist()
     frame = y[source_order].tolist()
     # Equal-within-noise values are retired without a mixing step.
-    scale = max(1.0, float(np.max(np.abs(y))) if n else 1.0)
+    scale = max(1.0, abs(frame[0]), abs(frame[-1])) if n else 1.0
     settle = 1e-13 * scale
-    targets = x.tolist()
     keys = [(-v, p) for p, v in enumerate(frame)]  # frame is non-increasing
     placement = [0] * n
-    transforms: list[TTransform] = []
-    for c in np.argsort(-x, kind="stable").tolist():
-        target = targets[c]
+    js: list[int] = []
+    ks: list[int] = []
+    ts: list[float] = []
+    # Each target retires one key, so ``active`` is ``len(keys)``.
+    for active, c in zip(range(n, 0, -1), order_x.tolist()):
+        target = xs[c]
         top = keys[0][1]
         placement[c] = top
-        if len(keys) == 1 or frame[top] - target <= settle:
+        hi = frame[top]
+        if active == 1 or hi - target <= settle:
             del keys[0]
             continue
         # First active value not exceeding the target, else the smallest.
-        pick = min(bisect_left(keys, (-target, -1), 1), len(keys) - 1)
+        pick = bisect_left(keys, (-target, -1), 1, active - 1)
         low = keys[pick][1]
-        denom = frame[top] - frame[low]
+        lo = frame[low]
+        denom = hi - lo
         if denom <= settle:
             del keys[0]
             continue
         if denom == math.inf:  # the halves of both differences are exact and finite
-            t = (0.5 * target - 0.5 * frame[low]) / (0.5 * frame[top] - 0.5 * frame[low])
+            t = (0.5 * target - 0.5 * lo) / (0.5 * hi - 0.5 * lo)
         else:
-            t = (target - frame[low]) / denom
-        tr = TTransform(top, low, min(1.0, max(0.0, t)))
-        transforms.append(tr)
-        _mix(tr, frame)
+            t = (target - lo) / denom
+        t = min(1.0, max(0.0, t))  # with low != top (pick >= 1), a valid TTransform
+        js.append(top)
+        ks.append(low)
+        ts.append(t)
+        frame[top] = t * hi + (1.0 - t) * lo
+        frame[low] = (1.0 - t) * hi + t * lo
         del keys[pick]
         del keys[0]
         insort(keys, (-frame[low], low))
-    return TTransformPlan(tuple(transforms), tuple(source_order.tolist()), tuple(placement))
+    return TTransformPlan(
+        tuple(js), tuple(ks), tuple(ts), tuple(source_order.tolist()), tuple(placement)
+    )
 
 
 def verify_concentration(x, x_up, y, y_down, tol: float = 1e-9) -> bool:

@@ -132,21 +132,23 @@ def _mix_rows_to(a: np.ndarray, rows, x, tol: float, u: np.ndarray | None = None
 
     Requires ``x`` majorised by ``diag(a)[rows]``.  Each T-transform of the
     decomposition rotates two of the ``rows`` (and the matching columns);
-    a final permutation among ``rows`` leaves ``a[rows[c], rows[c]] == x[c]``.
-    Diagonal entries outside ``rows`` keep their values.  When ``u`` is given,
-    its rows receive the same unitary from the left.
+    a final permutation among ``rows``, skipped when it is the identity,
+    leaves ``a[rows[c], rows[c]] == x[c]``.  Diagonal entries outside
+    ``rows`` keep their values.  When ``u`` is given, its rows receive the
+    same unitary from the left.
     """
-    rows = np.asarray(rows)
+    rows = list(rows)
     y = linalg.diagonal(a)[rows]
     plan = decompose_t_transforms(x, y, tol)  # raises MajorizationError if x not << y
-    frame = rows[list(plan.source_order)].tolist()
-    for tr in plan.transforms:
-        _rotate(a, u, frame[tr.j], frame[tr.k], tr.t)
+    frame = [rows[p] for p in plan.source_order]
+    for j, k, t in zip(plan.j, plan.k, plan.t):
+        _rotate(a, u, frame[j], frame[k], t)
     src = [frame[p] for p in plan.placement]
-    a[rows, :] = a[src, :]
-    a[:, rows] = a[:, src]
-    if u is not None:
-        u[rows, :] = u[src, :]
+    if src != rows:
+        a[rows, :] = a[src, :]
+        a[:, rows] = a[:, src]
+        if u is not None:
+            u[rows, :] = u[src, :]
 
 
 def synthesize_hermitian(x, y, tol: float = 1e-9) -> SynthesisResult:
@@ -176,7 +178,7 @@ def conjugate_to_diagonal(a, x, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarr
     x = as_vector(x)
     cur = a.copy()
     v = np.eye(a.shape[0], dtype=np.complex128)
-    _mix_rows_to(cur, np.arange(a.shape[0]), x, tol, v)
+    _mix_rows_to(cur, range(a.shape[0]), x, tol, v)
     return cur, v
 
 
@@ -202,5 +204,5 @@ def carpenter_finite(a, tol: float = INTEGER_TOL) -> np.ndarray:
     target = np.zeros(v.size, dtype=np.complex128)
     target[:m] = 1.0
     p = np.diag(target)
-    _mix_rows_to(p, np.arange(v.size), v, max(tol, 1e-9))
+    _mix_rows_to(p, range(v.size), v, max(tol, 1e-9))
     return p

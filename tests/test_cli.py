@@ -1,6 +1,7 @@
 """End-to-end command-line checks: outputs, artifacts, and exit codes."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from schurhorn import (
     load_truncated_projection,
     save_vector,
 )
-from schurhorn import cli
+from schurhorn import carpenter, cli
 from schurhorn.cli import main
 
 
@@ -82,6 +83,24 @@ def test_majorize_plan_survives_an_overflowing_spread(tmp_path, capsys):
     assert pairs["majorizes"] == "true"
     assert float(pairs["replay_error"]) == 0.0
     assert [tr.t for tr in load_plan(plan_path).transforms] == [0.5]
+
+
+@pytest.mark.parametrize("decompose", [False, True], ids=["decide", "decompose"])
+def test_majorize_overflowing_prefix_sums_exit_three(tmp_path, capsys, decompose):
+    # Both totals overflow to inf, though 2e308 != 3.4e308: no verdict exists.
+    x = _write_vector(tmp_path / "x.json", [1e308, 1e308])
+    y = _write_vector(tmp_path / "y.json", [1.7e308, 1.7e308])
+    plan_path = tmp_path / "plan.json"
+    argv = ["majorize", x, y] + (["--decompose", str(plan_path)] if decompose else [])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning would be a traceback here
+        code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "overflow" in lines[0]
+    assert not plan_path.exists()
 
 
 def test_synth_survives_an_overflowing_spread(tmp_path, capsys):
@@ -250,6 +269,31 @@ def test_obstruction_case_a_build(tmp_path, capsys):
     code = main(["verify", str(build), "--spec", spec])
     assert code == 0
     capsys.readouterr()
+
+
+CONSTANT_HALF_SPEC = {
+    "prefix": [],
+    "tail": {"kind": "divergent-low", "generator": "0.5",
+             "certificate": {"kind": "constant", "p": 0.5, "start": 1}},
+}
+
+
+@pytest.mark.parametrize("spec_obj", [INTERLEAVE_SPEC, CONSTANT_HALF_SPEC],
+                         ids=["case-b", "case-a"])
+def test_obstruction_build_computes_feasibility_once(tmp_path, capsys, monkeypatch, spec_obj):
+    calls = []
+    real = carpenter.feasibility
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(carpenter, "feasibility", counted)
+    monkeypatch.setattr(cli, "feasibility", counted)
+    spec = _write_spec(tmp_path / "spec.json", spec_obj)
+    assert main(["obstruction", spec, "--build", str(tmp_path / "out.json")]) == 0
+    assert int(_kv(capsys)["depth"]) >= 3
+    assert len(calls) == 1
 
 
 def test_obstruction_infeasible_exits_one(tmp_path, capsys):

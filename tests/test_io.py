@@ -16,7 +16,6 @@ from schurhorn import (
     Interleave,
     OneTail,
     SequenceSpec,
-    TTransform,
     TTransformPlan,
     ZeroTail,
     build_case_a,
@@ -42,7 +41,11 @@ from schurhorn import (
     vector_from_obj,
 )
 
-from conftest import random_hermitian
+from conftest import (
+    random_doubly_stochastic,
+    random_hermitian,
+    random_projection_diagonal,
+)
 
 HALF_INTERLEAVE = SequenceSpec(
     (0.3, 1.0), Interleave(GeometricLow(0.5, 0.5), GeometricHigh(0.5, 0.5))
@@ -228,14 +231,9 @@ def test_plan_round_trip(tmp_path):
     assert all(tr["j"] >= 1 and tr["k"] >= 1 for tr in obj["transforms"])
 
     weights = (0.0, 1.0, np.float64(0.3), 1)  # an int weight is written as a float
-    mixed = TTransformPlan(
-        tuple(TTransform(j, (j + 1) % 3, t) for j, t in enumerate(weights[:3]))
-        + (TTransform(2, 0, weights[3]),),
-        (2, 0, 1),
-        (1, 2, 0),
-    )
+    mixed = TTransformPlan((0, 1, 2, 2), (1, 2, 0, 0), weights, (2, 0, 1), (1, 2, 0))
     for pos, plan in enumerate(
-        [plan, TTransformPlan((), (), ()), TTransformPlan((), (0,), (0,)), mixed]
+        [plan, TTransformPlan((), (), (), (), ()), TTransformPlan((), (), (), (0,), (0,)), mixed]
     ):
         path = tmp_path / f"plan{pos}.json"
         save_plan(path, plan)
@@ -258,6 +256,73 @@ def test_plan_malformed():
         plan_from_obj({"transforms": [], "source_order": [0], "placement": [1]})
     with pytest.raises(FormatError):
         plan_from_obj({"transforms": []})
+
+
+def _plan_obj(**changes):
+    """A valid two-position plan object with ``changes`` applied."""
+    return {"transforms": [{"j": 1, "k": 2, "t": 0.5}], "source_order": [2, 1],
+            "placement": [1, 2]} | changes
+
+
+def _step(**changes):
+    return [{"j": 1, "k": 2, "t": 0.5} | changes]
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        _plan_obj(transforms=_step(k=1)),
+        _plan_obj(transforms=_step(j=True)),
+        _plan_obj(transforms=_step(k=2.0)),
+        _plan_obj(transforms=_step(t=True)),
+        _plan_obj(transforms=_step(t="0.5")),
+        _plan_obj(transforms=_step(t=1.5)),
+        _plan_obj(transforms=[[1, 2, 0.5]]),
+        _plan_obj(transforms=[None]),
+        _plan_obj(transforms=_step(j=10**30)),
+        _plan_obj(transforms=_step(k=10**30)),
+        _plan_obj(source_order=[10**30, 1]),
+        _plan_obj(placement=[1, 10**30]),
+        _plan_obj(source_order=[True, 1]),
+        _plan_obj(source_order=[0, 1]),
+        _plan_obj(placement=[1, False]),
+        _plan_obj(placement=[0, 2]),
+    ],
+    ids=["j-equals-k", "bool-j", "float-k", "bool-t", "string-t", "t-above-one",
+         "list-step", "null-step", "huge-j", "huge-k", "huge-source", "huge-placement",
+         "bool-source", "zero-source", "bool-placement", "zero-placement"],
+)
+def test_plan_from_obj_rejects_malformed_steps_and_orders(obj):
+    assert plan_from_obj(_plan_obj()) == TTransformPlan((0,), (1,), (0.5,), (1, 0), (0, 1))
+    with pytest.raises(FormatError):
+        plan_from_obj(obj)
+
+
+def test_plan_round_trip_random_decompositions(tmp_path):
+    # Gaussian spectra, heavy ties, and the 0/1 staircase that carpenter_finite
+    # decomposes against, up to n = 512.
+    rng = np.random.default_rng(412)
+    cases = []
+    for n in (1, 2, 5, 33, 128, 512):
+        y = rng.normal(size=n)
+        cases.append((random_doubly_stochastic(rng, n) @ y, y))
+        ties = rng.integers(-2, 3, size=n).astype(float)
+        cases.append((random_doubly_stochastic(rng, n) @ ties, ties))
+        cases.append((rng.permutation(ties), ties))
+        if n > 1:
+            d = random_projection_diagonal(rng, n)
+            staircase = np.zeros(n)
+            staircase[: round(d.sum())] = 1.0
+            cases.append((d, staircase))
+    for pos, (x, y) in enumerate(cases):
+        plan = decompose_t_transforms(x, y)
+        path = tmp_path / f"plan{pos}.json"
+        save_plan(path, plan)
+        assert path.read_text() == json.dumps(plan_to_obj(plan)) + "\n"
+        back = load_plan(path)
+        assert back == plan
+        assert replay_t_transform_plan(back, y).tobytes() == replay_t_transform_plan(
+            plan, y).tobytes()
 
 
 def test_sequence_spec_round_trip(tmp_path):

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from schurhorn import (
     MajorizationError,
+    PrefixSumOverflowError,
     TTransform,
     TTransformPlan,
-    apply_t_transform,
     decompose_t_transforms,
     majorizes,
     majorizes_by_absolute_sums,
@@ -76,14 +76,17 @@ def _reference_decompose(x, y, tol: float = 1e-9) -> TTransformPlan:
         placement[c] = top
         active.pop(0)
     return TTransformPlan(
-        tuple(transforms),
+        tuple(tr.j for tr in transforms),
+        tuple(tr.k for tr in transforms),
+        tuple(tr.t for tr in transforms),
         tuple(int(i) for i in source_order),
         tuple(int(i) for i in placement),
     )
 
 
 def _plan_bits(plan: TTransformPlan):
-    steps = [(tr.j, tr.k, float(tr.t).hex()) for tr in plan.transforms]
+    steps = [(j, k, float(t).hex()) for j, k, t in zip(plan.j, plan.k, plan.t)]
+    assert len(steps) == len(plan.j) == len(plan.k) == len(plan.t)
     return steps, plan.source_order, plan.placement
 
 
@@ -99,7 +102,9 @@ def _assert_matches_reference(x, y):
     assert _plan_bits(plan) == _plan_bits(expected)
     w = np.asarray(y, dtype=float)[list(plan.source_order)]
     for tr in plan.transforms:
-        w = apply_t_transform(tr, w)
+        wj, wk = w[tr.j], w[tr.k]
+        w[tr.j] = tr.t * wj + (1.0 - tr.t) * wk
+        w[tr.k] = (1.0 - tr.t) * wj + tr.t * wk
     assert replay_t_transform_plan(plan, y).tobytes() == w[list(plan.placement)].tobytes()
 
 
@@ -151,9 +156,6 @@ def test_t_transform_validation():
         TTransform(0, 1, 1.5)
     with pytest.raises(ValueError):
         TTransform(-1, 1, 0.5)
-    tr = TTransform(0, 2, 0.25)
-    with pytest.raises(ValueError):
-        apply_t_transform(tr, [1.0, 2.0])
 
 
 def test_t_transform_matrix_is_doubly_stochastic_and_acts_right():
@@ -166,7 +168,10 @@ def test_t_transform_matrix_is_doubly_stochastic_and_acts_right():
         assert m.min() >= 0.0
         assert np.all(m.sum(axis=0) == 1.0) and np.all(m.sum(axis=1) == 1.0)
         v = rng.normal(size=n)
-        assert np.max(np.abs(m @ v - apply_t_transform(tr, v))) <= 1e-12
+        mixed = v.copy()
+        mixed[tr.j] = tr.t * v[tr.j] + (1.0 - tr.t) * v[tr.k]
+        mixed[tr.k] = (1.0 - tr.t) * v[tr.j] + tr.t * v[tr.k]
+        assert np.max(np.abs(m @ v - mixed)) <= 1e-12
 
 
 def test_decompose_replays_exactly():
@@ -219,7 +224,7 @@ def test_decompose_matches_resort_reference_hypothesis(y, rnd):
 
 
 def test_replay_rejects_out_of_range_positions():
-    plan = TTransformPlan((TTransform(0, 3, 0.5),), (0, 1, 2), (0, 1, 2))
+    plan = TTransformPlan((0,), (3,), (0.5,), (0, 1, 2), (0, 1, 2))
     with pytest.raises(ValueError, match="out of range"):
         replay_t_transform_plan(plan, [3.0, 2.0, 1.0])
 
@@ -237,6 +242,29 @@ def test_decompose_identity_needs_no_transforms():
     plan = decompose_t_transforms(y, y)
     assert plan.transforms == ()
     assert np.max(np.abs(replay_t_transform_plan(plan, y) - y)) == 0.0
+
+
+@pytest.mark.parametrize(
+    "x, y",
+    [
+        ([1e308, 1e308], [1.7e308, 1.7e308]),  # both totals overflow to inf
+        ([1.7e308, 0.0], [-1e308, -1e308]),  # -inf against a finite total
+        ([0.0, 0.0, 0.0], [1.7e308, 1.7e308, -1.7e308]),  # a top-2 sum overflows
+    ],
+)
+def test_overflowing_prefix_sums_give_no_verdict(x, y):
+    for run in (majorizes, decompose_t_transforms):
+        with pytest.raises(PrefixSumOverflowError):
+            run(x, y)
+        with pytest.raises(PrefixSumOverflowError):
+            run(y, x)
+
+
+def test_empty_vectors_majorise_each_other():
+    assert majorizes([], [])
+    plan = decompose_t_transforms([], [])
+    assert plan == TTransformPlan((), (), (), (), ())
+    assert replay_t_transform_plan(plan, []).size == 0
 
 
 def test_decompose_rejects_non_majorized():

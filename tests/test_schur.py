@@ -6,8 +6,6 @@ import pytest
 from schurhorn import (
     InfeasibleDiagonalError,
     MajorizationError,
-    TTransform,
-    apply_t_transform,
     carpenter_finite,
     conjugate_to_diagonal,
     decompose_t_transforms,
@@ -69,11 +67,14 @@ def test_apply_t_transform_unitarily_moves_diagonal_only():
         n = int(rng.integers(2, 7))
         a = random_hermitian(rng, n)
         j, k = rng.choice(n, size=2, replace=False)
-        tr = TTransform(int(j), int(k), float(rng.random()))
+        j, k, t = int(j), int(k), float(rng.random())
         b, v = a.astype(np.complex128), np.eye(n, dtype=np.complex128)
-        _rotate(b, v, tr.j, tr.k, tr.t)
+        _rotate(b, v, j, k, t)
         assert unitary_residual(v) <= 1e-12
-        want = apply_t_transform(tr, np.diag(a).real)
+        d = np.diag(a).real
+        want = d.copy()
+        want[j] = t * d[j] + (1.0 - t) * d[k]
+        want[k] = (1.0 - t) * d[j] + t * d[k]
         assert np.max(np.abs(np.diag(b).real - want)) <= 1e-12
         assert np.max(np.abs(np.linalg.eigvalsh(b) - np.linalg.eigvalsh(a))) <= 1e-9
 
