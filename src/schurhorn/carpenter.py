@@ -43,7 +43,6 @@ from .sequences import (
     side_index_count,
     side_indices,
     term,
-    terms,
 )
 
 __all__ = [
@@ -335,7 +334,7 @@ def build_case_a(
         complemented = report.low_sum != math.inf
         sample: list[float] = []
     else:
-        sample = terms(spec, min(_ORDER_SAMPLE, budget))
+        sample = [term(spec, i) for i in range(1, min(_ORDER_SAMPLE, budget) + 1)]
         mass_low = sum(v for v in sample if v <= alpha)
         complemented = mass_low < sum(1.0 - v for v in sample if v > alpha)
         if complemented:

@@ -4,9 +4,10 @@ All decoding errors raise :class:`FormatError` so callers (notably the CLI)
 can distinguish malformed input from numerical failure; that includes numbers
 outside the float range, and JSON nested too deeply to parse.  Each file is
 compact JSON text as ``json.dumps`` writes it (default separators, one line,
-plus a newline).  Vectors and sequences are written through their
-``*_to_obj`` objects; the matrix, truncated-projection and plan writers
-build their text directly and format each distinct float once.  Formats:
+plus a newline).  The matrix, truncated-projection and plan writers build
+their text directly and format each distinct float once.  Vectors and
+sequences are only read here; :func:`spec_to_obj` gives a spec's object.
+Formats:
 
 * matrix: ``{"n": int, "data": [[re, im], ...]}`` with ``n**2`` row-major
   entries;
@@ -47,15 +48,12 @@ __all__ = [
     "load_matrix",
     "save_matrix",
     "load_vector",
-    "save_vector",
     "load_plan",
     "save_plan",
     "load_sequence_spec",
-    "save_sequence_spec",
     "load_truncated_projection",
     "save_truncated_projection",
     "matrix_from_obj",
-    "vector_to_obj",
     "vector_from_obj",
     "plan_from_obj",
     "spec_to_obj",
@@ -83,10 +81,6 @@ def _read_json(path) -> object:
 
 def _write_text(path, text: str) -> None:
     Path(path).write_text(text + "\n")
-
-
-def _write_json(path, obj) -> None:
-    _write_text(path, json.dumps(obj))
 
 
 def _float_texts(values: np.ndarray) -> np.ndarray:
@@ -195,13 +189,6 @@ def matrix_from_obj(obj) -> np.ndarray:
     return flat.view(np.complex128).reshape(n, n)
 
 
-def vector_to_obj(v) -> dict:
-    v = np.asarray(v, dtype=float)
-    if v.ndim != 1:
-        raise FormatError(f"expected a vector, got shape {v.shape}")
-    return {"values": v.tolist()}
-
-
 def vector_from_obj(obj) -> np.ndarray:
     values = _require(obj, "values", list, "vector")
     if not _all_numbers(values):
@@ -230,9 +217,11 @@ def plan_from_obj(obj) -> TTransformPlan:
         _one_based(_require(obj, name, list, "plan"), f"plan {name}", "a 1-based integer")
         for name in ("source_order", "placement")
     )
-    # Every position indexes the frame, ``y`` in source order.
+    # Every position indexes the frame, ``y`` in source order; the two orders permute it.
     n = len(source)
-    if max(chain(js, ks), default=-1) >= n or max(chain(source, placement), default=0) > n:
+    if not sorted(source) == sorted(placement) == list(range(1, n + 1)):
+        raise FormatError(f"plan: source_order and placement must be permutations of 1..{n}")
+    if max(chain(js, ks), default=-1) >= n:
         raise FormatError(f"plan: a position exceeds the frame length {n}")
     return TTransformPlan(tuple(js), tuple(ks), tuple(ts), tuple(p - 1 for p in source),
                           tuple(p - 1 for p in placement))
@@ -317,10 +306,6 @@ def load_vector(path) -> np.ndarray:
     return vector_from_obj(_read_json(path))
 
 
-def save_vector(path, v) -> None:
-    _write_json(path, vector_to_obj(v))
-
-
 def load_plan(path) -> TTransformPlan:
     return plan_from_obj(_read_json(path))
 
@@ -340,10 +325,6 @@ def save_plan(path, plan: TTransformPlan) -> None:
 
 def load_sequence_spec(path) -> SequenceSpec:
     return spec_from_obj(_read_json(path))
-
-
-def save_sequence_spec(path, spec: SequenceSpec) -> None:
-    _write_json(path, spec_to_obj(spec))
 
 
 def load_truncated_projection(path) -> TruncatedProjection:

@@ -89,16 +89,25 @@ def majorizes_by_absolute_sums(x, y, tol: float = 1e-9) -> bool:
     gap is piecewise linear in ``t`` and flat at infinity once the totals
     match, so checking ``t`` at every entry of ``x`` and ``y`` is exhaustive.
     Each deviation sum is read off sorted entries and their prefix sums, so
-    the test takes O(n log n) time and O(n) memory.
+    the test takes O(n log n) time and O(n) memory.  A total or deviation sum
+    that overflows raises :class:`PrefixSumOverflowError`.
     """
     x = as_vector(x)
     y = as_vector(y)
     if x.shape != y.shape:
         raise ValueError(f"length mismatch: {x.size} vs {y.size}")
-    if abs(float(x.sum() - y.sum())) > tol:
-        return False
-    pts = np.concatenate([x, y])
-    return bool(np.all(_deviation_sums(x, pts) <= _deviation_sums(y, pts) + tol))
+    with np.errstate(over="ignore", invalid="ignore"):
+        total_x, total_y = float(x.sum()), float(y.sum())
+        if not (math.isfinite(total_x) and math.isfinite(total_y)):
+            raise PrefixSumOverflowError("a total overflows the float range")
+        if abs(total_x - total_y) > tol:
+            return False
+        pts = np.concatenate([x, y])
+        dev_x, dev_y = _deviation_sums(x, pts), _deviation_sums(y, pts)
+    # An overflow leaves an inf or NaN behind, which decides nothing.
+    if not (np.isfinite(dev_x).all() and np.isfinite(dev_y).all()):
+        raise PrefixSumOverflowError("a deviation sum overflows the float range")
+    return bool(np.all(dev_x <= dev_y + tol))
 
 
 def _deviation_sums(v: np.ndarray, pts: np.ndarray) -> np.ndarray:

@@ -21,7 +21,6 @@ from .majorization import as_vector, decompose_t_transforms
 __all__ = [
     "InfeasibleDiagonalError",
     "SynthesisResult",
-    "kadison_rotation",
     "synthesize_hermitian",
     "conjugate_to_diagonal",
     "carpenter_finite",
@@ -69,11 +68,13 @@ def _mixing_phase(a01: complex, a10: complex) -> complex:
 
 
 def _rotation_entries(a00, a01, a10, a11, t: float) -> tuple:
-    """Entries ``(g00, g01, g10, g11)`` of the Kadison rotation of a 2x2 block.
+    """Entries ``(g00, g01, g10, g11)`` of the Kadison rotation ``U`` of a 2x2 block ``A``.
 
-    Works on Python scalars and runs every check of :func:`kadison_rotation`:
-    ``t`` in [0, 1], finite entries, Hermitian residual (imaginary diagonal
-    parts included) at most ``_HERMITIAN_TOL``, and balanced phases.
+    For Hermitian ``A``, ``diag(U A U*) = (t A00 + (1-t) A11, (1-t) A00 + t A11)``:
+    the angle solves ``sin(theta)^2 = t`` and the phase cancels the
+    off-diagonal contribution.  Works on Python scalars and checks ``t`` in
+    [0, 1], finite entries, Hermitian residual (imaginary diagonal parts
+    included) at most ``_HERMITIAN_TOL``, and balanced phases.
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"mixing weight must lie in [0, 1], got {t}")
@@ -83,27 +84,12 @@ def _rotation_entries(a00, a01, a10, a11, t: float) -> tuple:
         abs(a00 - a00.conjugate()), abs(a01 - a10.conjugate()), abs(a11 - a11.conjugate())
     )
     if residual > _HERMITIAN_TOL:
-        raise ValueError("kadison_rotation requires a (numerically) Hermitian input")
+        raise ValueError("a rotation requires a (numerically) Hermitian 2x2 block")
     theta = math.asin(math.sqrt(t))
     s = math.sin(theta)
     co = math.cos(theta)
     c = _mixing_phase(a01, a10)
     return c * s, -co, c * co, s
-
-
-def kadison_rotation(a, t: float) -> np.ndarray:
-    """2x2 unitary mixing the diagonal of a Hermitian matrix with weight t.
-
-    For Hermitian ``A`` the returned ``U`` satisfies
-    ``diag(U A U*) = (t A00 + (1-t) A11, (1-t) A00 + t A11)``.  The rotation
-    angle solves ``sin(theta)^2 = t`` and the phase cancels the off-diagonal
-    contribution to the conjugated diagonal.
-    """
-    a = linalg.as_matrix(a)
-    if a.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 matrix, got {a.shape}")
-    g00, g01, g10, g11 = _rotation_entries(a.item(0), a.item(1), a.item(2), a.item(3), t)
-    return np.array([[g00, g01], [g10, g11]], dtype=np.complex128)
 
 
 def _rotate(a: np.ndarray, u: np.ndarray | None, j: int, k: int, t: float) -> None:

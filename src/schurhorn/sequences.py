@@ -8,8 +8,7 @@ floating-point guesswork.
 
 Each tail rule is a class that carries its own behaviour, tagged with its
 wire name ``kind``: ``term(i)`` is tail position ``i`` (1-based),
-``terms(count)`` the list of positions ``1..count`` (bit-identical to calling
-``term`` on each), ``complement()`` the rule of ``1 - term``,
+``complement()`` the rule of ``1 - term``,
 ``side_sums(alpha, budget)`` the :class:`SideSums` at a threshold
 (evaluating at most ``budget`` terms, else :class:`BudgetExhaustedError`),
 ``side_count(alpha, low)`` the number of indices on one side (``inf``, or
@@ -42,7 +41,6 @@ __all__ = [
     "TailRule",
     "SequenceSpec",
     "term",
-    "terms",
     "complement",
     "side_index_count",
     "side_indices",
@@ -217,9 +215,6 @@ class ZeroTail:
     def term(self, i: int) -> float:
         return 0.0
 
-    def terms(self, count: int) -> list[float]:
-        return [0.0] * count
-
     def complement(self) -> "OneTail":
         return OneTail()
 
@@ -244,9 +239,6 @@ class OneTail:
 
     def term(self, i: int) -> float:
         return 1.0
-
-    def terms(self, count: int) -> list[float]:
-        return [1.0] * count
 
     def complement(self) -> ZeroTail:
         return ZeroTail()
@@ -291,10 +283,6 @@ class GeometricLow(_Geometric):
     def term(self, i: int) -> float:
         return self.c * self.r**i
 
-    def terms(self, count: int) -> list[float]:
-        c, r = self.c, self.r
-        return [c * r**i for i in range(1, count + 1)]
-
     def complement(self) -> "GeometricHigh":
         return GeometricHigh(self.c, self.r)
 
@@ -318,10 +306,6 @@ class GeometricHigh(_Geometric):
 
     def term(self, i: int) -> float:
         return 1.0 - self.c * self.r**i
-
-    def terms(self, count: int) -> list[float]:
-        c, r = self.c, self.r
-        return [1.0 - c * r**i for i in range(1, count + 1)]
 
     def complement(self) -> GeometricLow:
         return GeometricLow(self.c, self.r)
@@ -352,16 +336,6 @@ class Interleave:
         if i % 2 == 1:
             return self.first.term((i + 1) // 2)
         return self.second.term(i // 2)
-
-    def terms(self, count: int) -> list[float]:
-        out = [0.0] * count
-        try:
-            out[::2] = self.first.terms((count + 1) // 2)
-            out[1::2] = self.second.terms(count // 2)
-        except TailCertificateError:
-            # The error must name the first failing position in interleaved order.
-            return [self.term(i) for i in range(1, count + 1)]
-        return out
 
     def complement(self) -> "Interleave":
         return Interleave(self.first.complement(), self.second.complement())
@@ -419,31 +393,25 @@ class _Divergent:
         return TailCertificateError(f"generator {self.generator!r} failed at i={i}: {exc}")
 
     def _value(self, i: int) -> float:
-        """The unclamped generator value at ``i``."""
+        """The unclamped generator value at ``i``.
+
+        The generator sees ``i`` as a float, so ``**`` on the index overflows
+        (an error) instead of building an unbounded integer.
+        """
         try:
-            return float(self._fn(i))
+            return float(self._fn(float(i)))
         except _GEN_ERRORS as exc:
             raise self._failed(i, exc) from exc
 
     def _g(self, i: int) -> float:
-        """The generator value at ``i`` clamped to [0, 1/2]; NaN and -0.0 give +0.0."""
+        """The generator value at float ``i`` clamped to [0, 1/2]; NaN and -0.0 give +0.0."""
         try:
-            v = self._fn(i)
+            v = self._fn(float(i))
             if v > 0.0:
                 return v if v < 0.5 else 0.5
         except _GEN_ERRORS as exc:
             raise self._failed(i, exc) from exc
         return 0.0
-
-    def _gs(self, count: int) -> list[float]:
-        """``[self._g(i) for i in 1..count]``, with the generator mapped over the range."""
-        try:
-            values = list(map(self._fn, range(1, count + 1)))
-            return [(v if v < 0.5 else 0.5) if v > 0.0 else 0.0 for v in values]
-        except _GEN_ERRORS:
-            # The generator is a pure function of i: the term-by-term pass
-            # fails at the same first index, with the message ``term`` gives.
-            return [self._g(i) for i in range(1, count + 1)]
 
     def _head(self, budget: int) -> range:
         """The indices below the certificate's start, at most ``budget`` of them."""
@@ -471,9 +439,6 @@ class DivergentLow(_Divergent):
 
     def term(self, i: int) -> float:
         return self._g(i)
-
-    def terms(self, count: int) -> list[float]:
-        return self._gs(count)
 
     def complement(self) -> "DivergentHigh":
         return DivergentHigh(self.generator, self.certificate)
@@ -505,9 +470,6 @@ class DivergentHigh(_Divergent):
 
     def term(self, i: int) -> float:
         return 1.0 - self._g(i)
-
-    def terms(self, count: int) -> list[float]:
-        return [1.0 - v for v in self._gs(count)]
 
     def complement(self) -> DivergentLow:
         return DivergentLow(self.generator, self.certificate)
@@ -564,12 +526,6 @@ def term(spec: SequenceSpec, i: int) -> float:
     if i <= len(spec.prefix):
         return spec.prefix[i - 1]
     return spec.tail.term(i - len(spec.prefix))
-
-
-def terms(spec: SequenceSpec, count: int) -> list[float]:
-    """Values of sequence positions ``1..count``: ``[term(spec, i) for i in 1..count]``."""
-    head = list(spec.prefix[: max(count, 0)])
-    return head + spec.tail.terms(count - len(head))
 
 
 def complement(spec: SequenceSpec) -> SequenceSpec:

@@ -1,5 +1,6 @@
-"""Shared random generators and independent brute-force oracles."""
+"""Shared random generators, independent brute-force oracles and an input writer."""
 
+import json
 from itertools import combinations
 
 import numpy as np
@@ -64,3 +65,12 @@ def majorizes_oracle(x, y, tol: float = 1e-9) -> bool:
         if best_x > sum(ys[:k]) + tol:
             return False
     return True
+
+
+def write_json(path, obj) -> str:
+    """Write ``obj`` to ``path`` as JSON text, the way CLI inputs are given; return the path.
+
+    A vector is ``{"values": [...]}``; a sequence spec is ``spec_to_obj(spec)``.
+    """
+    path.write_text(json.dumps(obj))
+    return str(path)

@@ -32,7 +32,6 @@ from schurhorn import (
     projection_with_cotrace,
     projection_with_trace,
     term,
-    terms,
     verify_truncation,
 )
 from schurhorn import carpenter
@@ -399,7 +398,7 @@ def test_monotone_selection_matches_bucket_reference(values, queued):
     prefix = (0.9,) * queued + tuple(values)
     spec = SequenceSpec(prefix, DivergentLow("0.3", Certificate("constant", 0.3)))
     t = build_case_a(spec, 0.5, depth=3)
-    exact = terms(spec, len(prefix) + 200)
+    exact = [term(spec, i) for i in range(1, len(prefix) + 201)]
     blocks = _reference_blocks(exact, 0.5, 3)
     assert t.diagonal_map == tuple(i for block in blocks for part in block for i in part)
     assert t.covered == tuple(sorted(set(t.diagonal_map) - set(blocks[-1][2])))
@@ -481,18 +480,13 @@ def test_builds_reuse_the_reported_side_sums(monkeypatch):
 )
 def test_case_a_evaluates_each_term_once(monkeypatch, spec, alpha):
     seen = []
-    real, real_batch = carpenter.term, carpenter.terms
+    real = carpenter.term
 
     def counted(s, i):
         seen.append((s, i))
         return real(s, i)
 
-    def counted_batch(s, count):
-        seen.extend((s, i) for i in range(1, count + 1))
-        return real_batch(s, count)
-
     monkeypatch.setattr(carpenter, "term", counted)
-    monkeypatch.setattr(carpenter, "terms", counted_batch)
     build_case_a(spec, alpha, depth=3)
     assert len(set(seen)) == len(seen)
 
@@ -500,18 +494,13 @@ def test_case_a_evaluates_each_term_once(monkeypatch, spec, alpha):
 @pytest.mark.parametrize("budget", [10, 100])
 def test_case_a_order_sample_stays_within_budget(monkeypatch, budget):
     seen = []
-    real, real_batch = carpenter.term, carpenter.terms
+    real = carpenter.term
 
     def counted(s, i):
         seen.append(s)
         return real(s, i)
 
-    def counted_batch(s, count):
-        seen.extend([s] * count)
-        return real_batch(s, count)
-
     monkeypatch.setattr(carpenter, "term", counted)
-    monkeypatch.setattr(carpenter, "terms", counted_batch)
     spec = SequenceSpec((), DivergentLow("0.4/sqrt(i)", Certificate("harmonic", 0.4)))
     try:
         build_case_a(spec, 0.3, 3, budget=budget)

@@ -16,10 +16,11 @@ from schurhorn import (
     load_matrix,
     load_plan,
     load_truncated_projection,
-    save_vector,
 )
 from schurhorn import carpenter, cli
 from schurhorn.cli import main
+
+from conftest import write_json
 
 
 def _kv(capsys) -> dict:
@@ -29,16 +30,6 @@ def _kv(capsys) -> dict:
         key, _, value = line.partition("=")
         pairs[key] = value
     return pairs
-
-
-def _write_vector(path, values):
-    save_vector(path, np.asarray(values, dtype=float))
-    return str(path)
-
-
-def _write_spec(path, obj):
-    path.write_text(json.dumps(obj))
-    return str(path)
 
 
 INTERLEAVE_SPEC = {
@@ -54,8 +45,8 @@ INTERLEAVE_SPEC = {
 
 
 def test_majorize_true_with_plan(tmp_path, capsys):
-    x = _write_vector(tmp_path / "x.json", [2.0, 2.0, 2.0])
-    y = _write_vector(tmp_path / "y.json", [3.0, 2.0, 1.0])
+    x = write_json(tmp_path / "x.json", {"values": [2.0, 2.0, 2.0]})
+    y = write_json(tmp_path / "y.json", {"values": [3.0, 2.0, 1.0]})
     plan_path = tmp_path / "plan.json"
     code = main(["majorize", x, y, "--decompose", str(plan_path)])
     pairs = _kv(capsys)
@@ -69,8 +60,8 @@ def test_majorize_true_with_plan(tmp_path, capsys):
 
 def _overflowing_pair(tmp_path):
     """x = 0 against a spectrum whose spread overflows a float."""
-    x = _write_vector(tmp_path / "x.json", [0.0, 0.0])
-    y = _write_vector(tmp_path / "y.json", [1.7e308, -1.7e308])
+    x = write_json(tmp_path / "x.json", {"values": [0.0, 0.0]})
+    y = write_json(tmp_path / "y.json", {"values": [1.7e308, -1.7e308]})
     return x, y
 
 
@@ -88,8 +79,8 @@ def test_majorize_plan_survives_an_overflowing_spread(tmp_path, capsys):
 @pytest.mark.parametrize("decompose", [False, True], ids=["decide", "decompose"])
 def test_majorize_overflowing_prefix_sums_exit_three(tmp_path, capsys, decompose):
     # Both totals overflow to inf, though 2e308 != 3.4e308: no verdict exists.
-    x = _write_vector(tmp_path / "x.json", [1e308, 1e308])
-    y = _write_vector(tmp_path / "y.json", [1.7e308, 1.7e308])
+    x = write_json(tmp_path / "x.json", {"values": [1e308, 1e308]})
+    y = write_json(tmp_path / "y.json", {"values": [1.7e308, 1.7e308]})
     plan_path = tmp_path / "plan.json"
     argv = ["majorize", x, y] + (["--decompose", str(plan_path)] if decompose else [])
     with warnings.catch_warnings():
@@ -117,8 +108,8 @@ def test_synth_survives_an_overflowing_spread(tmp_path, capsys):
 def test_majorize_exits_three_when_its_replay_misses(tmp_path, capsys, monkeypatch):
     real = cli.replay_t_transform_plan
     monkeypatch.setattr(cli, "replay_t_transform_plan", lambda plan, y: real(plan, y) + 1e-6)
-    x = _write_vector(tmp_path / "x.json", [2.0, 2.0, 2.0])
-    y = _write_vector(tmp_path / "y.json", [3.0, 2.0, 1.0])
+    x = write_json(tmp_path / "x.json", {"values": [2.0, 2.0, 2.0]})
+    y = write_json(tmp_path / "y.json", {"values": [3.0, 2.0, 1.0]})
     code = main(["majorize", x, y, "--decompose", str(tmp_path / "plan.json")])
     captured = capsys.readouterr()
     assert code == 3
@@ -150,8 +141,8 @@ def test_synth_exits_three_when_its_own_check_misses(
         def perturbed(a):
             return real(a) + shift
     monkeypatch.setattr(cli, target, perturbed)
-    d = _write_vector(tmp_path / "d.json", [scale, scale, scale])
-    s = _write_vector(tmp_path / "s.json", [2.0 * scale, scale, 0.0])
+    d = write_json(tmp_path / "d.json", {"values": [scale, scale, scale]})
+    s = write_json(tmp_path / "s.json", {"values": [2.0 * scale, scale, 0.0]})
     assert main(["synth", d, s, "--out", str(tmp_path / "a.json"), "--tol", tol]) == code
     pairs = _kv(capsys)
     assert not float(pairs["spectrum_error"]) < 1e-7  # printed, NaN included
@@ -159,8 +150,8 @@ def test_synth_exits_three_when_its_own_check_misses(
 
 
 def test_majorize_false_exits_one(tmp_path, capsys):
-    x = _write_vector(tmp_path / "x.json", [3.0, 1.0])
-    y = _write_vector(tmp_path / "y.json", [2.0, 2.0])
+    x = write_json(tmp_path / "x.json", {"values": [3.0, 1.0]})
+    y = write_json(tmp_path / "y.json", {"values": [2.0, 2.0]})
     code = main(["majorize", x, y])
     pairs = _kv(capsys)
     assert code == 1
@@ -168,15 +159,15 @@ def test_majorize_false_exits_one(tmp_path, capsys):
 
 
 def test_majorize_length_mismatch_exits_two(tmp_path, capsys):
-    x = _write_vector(tmp_path / "x.json", [1.0])
-    y = _write_vector(tmp_path / "y.json", [0.5, 0.5])
+    x = write_json(tmp_path / "x.json", {"values": [1.0]})
+    y = write_json(tmp_path / "y.json", {"values": [0.5, 0.5]})
     assert main(["majorize", x, y]) == 2
     capsys.readouterr()
 
 
 def test_synth_writes_verifiable_artifacts(tmp_path, capsys):
-    d = _write_vector(tmp_path / "d.json", [1.0, 1.0, 1.0])
-    s = _write_vector(tmp_path / "s.json", [2.0, 1.0, 0.0])
+    d = write_json(tmp_path / "d.json", {"values": [1.0, 1.0, 1.0]})
+    s = write_json(tmp_path / "s.json", {"values": [2.0, 1.0, 0.0]})
     out = tmp_path / "a.json"
     unitary = tmp_path / "u.json"
     code = main(["synth", d, s, "--out", str(out), "--unitary", str(unitary)])
@@ -197,14 +188,14 @@ def test_synth_writes_verifiable_artifacts(tmp_path, capsys):
 
 
 def test_synth_non_majorized_exits_one(tmp_path, capsys):
-    d = _write_vector(tmp_path / "d.json", [2.0, 0.0])
-    s = _write_vector(tmp_path / "s.json", [1.5, 0.5])
+    d = write_json(tmp_path / "d.json", {"values": [2.0, 0.0]})
+    s = write_json(tmp_path / "s.json", {"values": [1.5, 0.5]})
     assert main(["synth", d, s, "--out", str(tmp_path / "a.json")]) == 1
     capsys.readouterr()
 
 
 def test_carpenter_and_verify(tmp_path, capsys):
-    d = _write_vector(tmp_path / "d.json", [0.75, 0.5, 0.5, 0.25])
+    d = write_json(tmp_path / "d.json", {"values": [0.75, 0.5, 0.5, 0.25]})
     out = tmp_path / "p.json"
     code = main(["carpenter", d, "--out", str(out)])
     pairs = _kv(capsys)
@@ -218,13 +209,13 @@ def test_carpenter_and_verify(tmp_path, capsys):
 
 
 def test_carpenter_infeasible_exits_one(tmp_path, capsys):
-    d = _write_vector(tmp_path / "d.json", [0.5, 0.25])
+    d = write_json(tmp_path / "d.json", {"values": [0.5, 0.25]})
     assert main(["carpenter", d, "--out", str(tmp_path / "p.json")]) == 1
     capsys.readouterr()
 
 
 def test_obstruction_classifies_and_builds(tmp_path, capsys):
-    spec = _write_spec(tmp_path / "spec.json", INTERLEAVE_SPEC)
+    spec = write_json(tmp_path / "spec.json", INTERLEAVE_SPEC)
     build = tmp_path / "tower.json"
     code = main(["obstruction", spec, "--build", str(build)])
     pairs = _kv(capsys)
@@ -245,7 +236,7 @@ def test_obstruction_classifies_and_builds(tmp_path, capsys):
 
 
 def test_obstruction_case_a_build(tmp_path, capsys):
-    spec = _write_spec(
+    spec = write_json(
         tmp_path / "spec.json",
         {
             "prefix": [],
@@ -290,14 +281,14 @@ def test_obstruction_build_computes_feasibility_once(tmp_path, capsys, monkeypat
 
     monkeypatch.setattr(carpenter, "feasibility", counted)
     monkeypatch.setattr(cli, "feasibility", counted)
-    spec = _write_spec(tmp_path / "spec.json", spec_obj)
+    spec = write_json(tmp_path / "spec.json", spec_obj)
     assert main(["obstruction", spec, "--build", str(tmp_path / "out.json")]) == 0
     assert int(_kv(capsys)["depth"]) >= 3
     assert len(calls) == 1
 
 
 def test_obstruction_infeasible_exits_one(tmp_path, capsys):
-    spec = _write_spec(
+    spec = write_json(
         tmp_path / "spec.json",
         {"prefix": [], "tail": {"kind": "geometric-low", "c": 0.5, "r": 0.5}},
     )
@@ -309,23 +300,23 @@ def test_obstruction_infeasible_exits_one(tmp_path, capsys):
 
 
 def test_verify_failure_exits_one(tmp_path, capsys):
-    d = _write_vector(tmp_path / "d.json", [0.5, 0.5])
+    d = write_json(tmp_path / "d.json", {"values": [0.5, 0.5]})
     out = tmp_path / "p.json"
     assert main(["carpenter", d, "--out", str(out)]) == 0
-    wrong = _write_vector(tmp_path / "wrong.json", [0.9, 0.1])
+    wrong = write_json(tmp_path / "wrong.json", {"values": [0.9, 0.1]})
     code = main(["verify", str(out), "--diagonal", wrong])
     capsys.readouterr()
     assert code == 1
     # A truncation claiming covered indices that sit at no matrix position.
-    spec = _write_spec(tmp_path / "spec.json", {"prefix": [0.5, 0.5], "tail": {"kind": "zero"}})
+    spec = write_json(tmp_path / "spec.json", {"prefix": [0.5, 0.5], "tail": {"kind": "zero"}})
     artifact = json.loads(out.read_text())
     artifact.update(depth=1, residual_bound=1.0, permutation=[1, 2])
     for covered, want in (([1, 2], 0), ([1, 2, 3, 4, 5, 99], 1)):
-        forged = _write_spec(tmp_path / "t.json", {**artifact, "covered": covered})
+        forged = write_json(tmp_path / "t.json", {**artifact, "covered": covered})
         assert main(["verify", forged, "--spec", spec]) == want
         assert _kv(capsys)["ok"] == ("true" if want == 0 else "false")
     # A truncation placing one sequence index at two matrix positions.
-    forged = _write_spec(tmp_path / "t.json", {**artifact, "permutation": [1, 1], "covered": [1]})
+    forged = write_json(tmp_path / "t.json", {**artifact, "permutation": [1, 1], "covered": [1]})
     assert main(["verify", forged, "--spec", spec]) == 1
     pairs = _kv(capsys)
     assert pairs["diagonal_error"] == "inf"
@@ -373,7 +364,7 @@ def test_nan_spec_value_exits_two(tmp_path, capsys, text):
 def test_slow_geometric_tail_classifies(tmp_path, capsys):
     # The first term at most alpha is number ~4.6e7: found in closed form.
     tail = {"kind": "geometric-low", "c": 1.0, "r": 0.9999999}
-    spec = _write_spec(tmp_path / "spec.json", {"prefix": [], "tail": tail})
+    spec = write_json(tmp_path / "spec.json", {"prefix": [], "tail": tail})
     assert main(["obstruction", spec, "--alpha", "0.01"]) in (0, 1)
     assert _kv(capsys)["case"] in ("CaseB-feasible", "Infeasible")
 
@@ -403,7 +394,7 @@ def test_exit_code_table(monkeypatch, capsys, exc, code):
 
 
 def test_budget_exhaustion_exits_three(tmp_path, capsys):
-    spec = _write_spec(tmp_path / "spec.json", INTERLEAVE_SPEC)
+    spec = write_json(tmp_path / "spec.json", INTERLEAVE_SPEC)
     code = main(["obstruction", spec, "--build", str(tmp_path / "t.json"), "--budget", "2"])
     capsys.readouterr()
     assert code == 3
@@ -412,13 +403,22 @@ def test_budget_exhaustion_exits_three(tmp_path, capsys):
 def _divergent_spec(tmp_path, start, generator="0.25", p=0.25):
     cert = {"kind": "constant", "p": p, "start": start}
     tail = {"kind": "divergent-low", "generator": generator, "certificate": cert}
-    return _write_spec(tmp_path / "spec.json", {"prefix": [], "tail": tail})
+    return write_json(tmp_path / "spec.json", {"prefix": [], "tail": tail})
 
 
 def test_generator_outside_whitelist_exits_two(tmp_path, capsys):
     generator = "().__class__.__mro__[1].__subclasses__() and 0.25"
     assert main(["obstruction", _divergent_spec(tmp_path, 1, generator)]) == 2
     assert "not allowed" in capsys.readouterr().err
+
+
+def test_generator_power_of_the_index_exits_two(tmp_path, capsys):
+    # The generator sees a float index, so the power overflows at i = 2
+    # instead of building ever larger integers.
+    assert main(["obstruction", _divergent_spec(tmp_path, 1, "0.25 + 0*i**200000")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
 
 
 def test_case_a_without_monotone_subsequence_builds(tmp_path, capsys):
@@ -462,8 +462,8 @@ def test_certificate_scan_counts_against_budget(tmp_path, capsys, start, budget,
 
 
 def test_csv_and_human_styles(tmp_path, capsys):
-    x = _write_vector(tmp_path / "x.json", [1.0, 1.0])
-    y = _write_vector(tmp_path / "y.json", [2.0, 0.0])
+    x = write_json(tmp_path / "x.json", {"values": [1.0, 1.0]})
+    y = write_json(tmp_path / "y.json", {"values": [2.0, 0.0]})
     assert main(["majorize", x, y, "--csv"]) == 0
     out = capsys.readouterr().out.strip().splitlines()
     assert out[0] == "n,majorizes"
@@ -474,8 +474,8 @@ def test_csv_and_human_styles(tmp_path, capsys):
 
 
 def test_parser_built_once_across_calls(tmp_path, capsys):
-    x = _write_vector(tmp_path / "x.json", [1.0, 1.0])
-    y = _write_vector(tmp_path / "y.json", [2.0, 0.0])
+    x = write_json(tmp_path / "x.json", {"values": [1.0, 1.0]})
+    y = write_json(tmp_path / "y.json", {"values": [2.0, 0.0]})
     cli._build_parser.cache_clear()
     for _ in range(3):
         assert main(["majorize", x, y]) == 0
@@ -486,7 +486,7 @@ def test_parser_built_once_across_calls(tmp_path, capsys):
 
 
 def test_no_argument_state_leaks_between_calls(tmp_path, capsys):
-    spec = _write_spec(tmp_path / "spec.json", INTERLEAVE_SPEC)
+    spec = write_json(tmp_path / "spec.json", INTERLEAVE_SPEC)
     build = str(tmp_path / "tower.json")
     assert main(["obstruction", spec, "--build", build, "--depth", "3"]) == 0
     assert _kv(capsys)["depth"] == "3"
@@ -500,7 +500,7 @@ def test_no_argument_state_leaks_between_calls(tmp_path, capsys):
 
 
 def test_usage_errors_after_a_successful_call(tmp_path, capsys):
-    x = _write_vector(tmp_path / "x.json", [1.0, 1.0])
+    x = write_json(tmp_path / "x.json", {"values": [1.0, 1.0]})
     assert main(["majorize", x, x]) == 0
     capsys.readouterr()
     for argv in (["majorize", x], ["obstruction", x, "--depth", "two"], ["nosuch"], []):

@@ -31,9 +31,7 @@ from schurhorn import (
     replay_t_transform_plan,
     save_matrix,
     save_plan,
-    save_sequence_spec,
     save_truncated_projection,
-    save_vector,
     spec_from_obj,
     spec_to_obj,
     term,
@@ -45,6 +43,7 @@ from conftest import (
     random_doubly_stochastic,
     random_hermitian,
     random_projection_diagonal,
+    write_json,
 )
 
 HALF_INTERLEAVE = SequenceSpec(
@@ -210,7 +209,7 @@ def test_oversized_integer_is_a_format_error(tmp_path, loader, obj):
 def test_vector_round_trip(tmp_path):
     v = np.array([0.25, -1.5, 3.0])
     path = tmp_path / "v.json"
-    save_vector(path, v)
+    write_json(path, {"values": v.tolist()})
     assert np.all(load_vector(path) == v)
     with pytest.raises(FormatError):
         vector_from_obj({"values": [1.0, "x"]})
@@ -287,10 +286,14 @@ def _step(**changes):
         _plan_obj(source_order=[0, 1]),
         _plan_obj(placement=[1, False]),
         _plan_obj(placement=[0, 2]),
+        _plan_obj(source_order=[1, 1]),
+        _plan_obj(placement=[2]),
+        _plan_obj(placement=[1, 1]),
     ],
     ids=["j-equals-k", "bool-j", "float-k", "bool-t", "string-t", "t-above-one",
          "list-step", "null-step", "huge-j", "huge-k", "huge-source", "huge-placement",
-         "bool-source", "zero-source", "bool-placement", "zero-placement"],
+         "bool-source", "zero-source", "bool-placement", "zero-placement",
+         "repeated-source", "short-placement", "repeated-placement"],
 )
 def test_plan_from_obj_rejects_malformed_steps_and_orders(obj):
     assert plan_from_obj(_plan_obj()) == TTransformPlan((0,), (1,), (0.5,), (1, 0), (0, 1))
@@ -349,11 +352,8 @@ def test_sequence_spec_round_trip(tmp_path):
              {"kind": "interleave", "parts": [{"kind": "zero"}, {"kind": "one"}]}, geo_low]}}),
     ]
     for pos, (spec, obj) in enumerate(cases):
-        assert spec_to_obj(spec) == obj
-        path = tmp_path / f"spec{pos}.json"
-        save_sequence_spec(path, spec)
-        assert path.read_text() == json.dumps(obj) + "\n"  # key order included
-        back = load_sequence_spec(path)
+        assert json.dumps(spec_to_obj(spec)) == json.dumps(obj)  # key order included
+        back = load_sequence_spec(write_json(tmp_path / f"spec{pos}.json", spec_to_obj(spec)))
         assert back == spec
         for i in range(1, 9):
             assert term(back, i) == term(spec, i)

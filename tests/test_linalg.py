@@ -13,12 +13,11 @@ from schurhorn import (
     projection_entry_excess,
     projection_residual,
     save_matrix,
-    save_vector,
     unitary_residual,
 )
 from schurhorn.cli import main
 
-from conftest import random_hermitian, random_unitary
+from conftest import random_hermitian, random_unitary, write_json
 
 
 def _cubic_eigen_oracle(a):
@@ -97,7 +96,7 @@ def test_lapack_failure_is_a_convergence_error(tmp_path, monkeypatch, capsys):
     with pytest.raises(ConvergenceError):
         hermitian_eigenvalues(a)
     save_matrix(tmp_path / "a.json", a)
-    save_vector(tmp_path / "y.json", np.array([3.0, 1.0]))
+    write_json(tmp_path / "y.json", {"values": [3.0, 1.0]})
     code = main(["verify", str(tmp_path / "a.json"), "--spectrum", str(tmp_path / "y.json")])
     capsys.readouterr()
     assert code == 3

@@ -253,7 +253,7 @@ def test_decompose_identity_needs_no_transforms():
     ],
 )
 def test_overflowing_prefix_sums_give_no_verdict(x, y):
-    for run in (majorizes, decompose_t_transforms):
+    for run in (majorizes, majorizes_by_absolute_sums, decompose_t_transforms):
         with pytest.raises(PrefixSumOverflowError):
             run(x, y)
         with pytest.raises(PrefixSumOverflowError):

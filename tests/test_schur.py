@@ -10,7 +10,6 @@ from schurhorn import (
     conjugate_to_diagonal,
     decompose_t_transforms,
     hermitian_residual,
-    kadison_rotation,
     projection_entry_excess,
     projection_residual,
     synthesize_hermitian,
@@ -25,6 +24,14 @@ from conftest import (
     random_majorized_pair,
     random_projection_diagonal,
 )
+
+
+def kadison_rotation(a, t: float) -> np.ndarray:
+    """The 2x2 Kadison rotation of the block ``a``, from the engine's scalar kernel."""
+    a = np.asarray(a, dtype=np.complex128)
+    if a.shape != (2, 2):
+        raise ValueError(f"expected a 2x2 matrix, got {a.shape}")
+    return np.array(schur._rotation_entries(*a.ravel().tolist(), t), np.complex128).reshape(2, 2)
 
 
 def test_kadison_rotation_frozen_real_case():

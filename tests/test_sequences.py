@@ -6,7 +6,6 @@ import re
 from pathlib import Path
 
 import mpmath
-import numpy as np
 import pytest
 
 from schurhorn import (
@@ -26,7 +25,6 @@ from schurhorn import (
     side_index_count,
     side_indices,
     term,
-    terms,
 )
 from schurhorn.sequences import _GEN_FUNCS
 
@@ -253,6 +251,17 @@ def test_certificate_validation():
     assert tail.term(4) == 0.25
 
 
+def test_generator_failures_name_the_sequence_position():
+    at_100 = DivergentLow("0.25 + 0*(1/(i-100))", Certificate("constant", 0.25))
+    assert at_100.term(99) == 0.25
+    spec = SequenceSpec((0.5, 0.5), Interleave(ZeroTail(), at_100))
+    with pytest.raises(TailCertificateError, match=r"failed at i=100:"):
+        term(spec, 202)
+    # A float index bounds ``**``: the power overflows instead of growing an integer.
+    with pytest.raises(TailCertificateError, match=r"failed at i=2:"):
+        DivergentLow("0.25 + 0*i**200000", Certificate("constant", 0.25))
+
+
 def test_divergent_terms_clip_to_half():
     tail = DivergentLow("0.5", Certificate("constant", 0.5))
     assert tail.term(10) == 0.5
@@ -305,57 +314,6 @@ def test_compiled_generator_terms_match_eval_reference(generator, cert):
         want = _reference_g(generator, i)
         assert low.term(i).hex() == want.hex(), i
         assert high.term(i).hex() == (1.0 - want).hex(), i
-    for rule in (low, high):
-        assert [v.hex() for v in rule.terms(5000)] == [rule.term(i).hex() for i in range(1, 5001)]
-
-
-_BATCH_TAILS = {
-    "zero": ZeroTail(),
-    "one": OneTail(),
-    "geometric-low": GeometricLow(0.9, 0.7),
-    "geometric-high": GeometricHigh(0.5, 0.99),
-    "divergent-low": DivergentLow("0.49/sqrt(i)", Certificate("harmonic", 0.49)),
-    "divergent-high": DivergentHigh("0.3+0.2*sin(i)**2", Certificate("constant", 0.3)),
-    "interleave": HALF_INTERLEAVE,
-    "nested-interleave": Interleave(
-        Interleave(OneTail(), DivergentLow("0.5/i", Certificate("harmonic", 0.5))),
-        Interleave(GeometricHigh(0.3, 0.6), ZeroTail()),
-    ),
-}
-
-
-@pytest.mark.parametrize("tail", _BATCH_TAILS.values(), ids=_BATCH_TAILS.keys())
-@pytest.mark.parametrize("prefix", [(), (0.25, 1.0, 0.0), tuple(np.linspace(0.0, 1.0, 40))])
-def test_batched_terms_match_term_bit_for_bit(tail, prefix):
-    spec = SequenceSpec(prefix, tail)
-    for count in (-1, 0, 1, 2, 7, 33, 1000):  # the 40-entry prefix is longer, then shorter
-        want = [term(spec, i).hex() for i in range(1, count + 1)]
-        assert [v.hex() for v in terms(spec, count)] == want
-        assert [tail.term(i).hex() for i in range(1, count + 1)] == [
-            v.hex() for v in tail.terms(count)
-        ]
-
-
-def _error_text(call) -> str:
-    with pytest.raises(TailCertificateError) as exc:
-        call()
-    return str(exc.value)
-
-
-def test_batched_terms_fail_where_term_fails():
-    at_100 = DivergentLow("0.25 + 0*(1/(i-100))", Certificate("constant", 0.25))
-    at_60 = DivergentLow("0.25 + 0*(1/(i-60))", Certificate("constant", 0.25))
-    assert "failed at i=100" in _error_text(lambda: at_100.term(100))
-    assert len(at_100.terms(99)) == 99
-    # For the interleave, first(100) is position 199 but second(60) is
-    # position 120, so the batched error must name the second generator.
-    for rule in (at_100, at_100.complement(), Interleave(ZeroTail(), at_100),
-                 Interleave(at_100, at_60)):
-        want = _error_text(lambda: [rule.term(i) for i in range(1, 301)])
-        assert _error_text(lambda: rule.terms(300)) == want
-    assert "1/(i-60))' failed at i=60" in want
-    spec = SequenceSpec((0.5, 0.5), at_100)
-    assert _error_text(lambda: terms(spec, 102)) == _error_text(lambda: term(spec, 102))
 
 
 @pytest.mark.parametrize(
