@@ -37,11 +37,10 @@ from .sequences import (
     BudgetExhaustedError,
     SequenceSpec,
     SideSums,
+    TailCertificateError,
+    _add_counts,
     _combine,
     complement,
-    sequence_total,
-    side_index_count,
-    side_indices,
     term,
 )
 
@@ -80,8 +79,10 @@ class KadisonReport:
 
     ``low_sum`` / ``high_complement_sum`` are exact reals, ``inf`` for a
     certified divergent side, or ``None`` when total divergence cannot be
-    attributed to a single side.  ``defect`` is the distance of their
-    difference from the nearest integer (``None`` unless both are finite).
+    attributed to a single side; ``low_count`` / ``high_count`` count each
+    side's positions likewise (see :class:`SideSums`).  ``defect`` is the
+    distance of the sums' difference from the nearest integer (``None``
+    unless both are finite).
     """
 
     alpha: float
@@ -89,6 +90,8 @@ class KadisonReport:
     high_complement_sum: float | None
     low_mass_infinite: bool
     high_mass_infinite: bool
+    low_count: float | None
+    high_count: float | None
     defect: float | None
     feasibility: Feasibility
 
@@ -101,13 +104,15 @@ def kadison_sums(spec: SequenceSpec, alpha: float = 0.5, *, budget: int = 100_00
     if not 0.0 < alpha < 1.0:
         raise ValueError("threshold must lie strictly inside (0, 1)")
     tail = spec.tail.side_sums(alpha, budget)
-    prefix_low = sum(v for v in spec.prefix if v <= alpha)
-    prefix_high = sum(1.0 - v for v in spec.prefix if v > alpha)
+    low = [v for v in spec.prefix if v <= alpha]
+    high = [1.0 - v for v in spec.prefix if v > alpha]
     return SideSums(
-        _combine(prefix_low, tail.low),
-        _combine(prefix_high, tail.high),
+        _combine(sum(low), tail.low),
+        _combine(sum(high), tail.high),
         tail.low_mass_infinite,
         tail.high_mass_infinite,
+        _add_counts(len(low), tail.low_count),
+        _add_counts(len(high), tail.high_count),
     )
 
 
@@ -127,9 +132,8 @@ def feasibility(
         diff = low - high
         defect = abs(diff - round(diff))
         verdict = Feasibility.CASE_B if defect <= INTEGER_TOL else Feasibility.INFEASIBLE
-    return KadisonReport(
-        alpha, low, high, sums.low_mass_infinite, sums.high_mass_infinite, defect, verdict
-    )
+    return KadisonReport(alpha, low, high, sums.low_mass_infinite, sums.high_mass_infinite,
+                         sums.low_count, sums.high_count, defect, verdict)
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,6 +161,13 @@ def _complemented(p: TruncatedProjection) -> TruncatedProjection:
     return replace(p, matrix=np.eye(p.matrix.shape[0], dtype=np.complex128) - p.matrix)
 
 
+def _side_terms(spec: SequenceSpec, alpha: float, low: bool, count: float):
+    """The ``(index, value)`` pairs of the first ``count`` positions on one
+    side of ``alpha`` (the low side when ``low``), in increasing index order."""
+    side = ((i, v) for i in itertools.count(1) if ((v := term(spec, i)) <= alpha) == low)
+    return itertools.islice(side, None if count == math.inf else int(count))
+
+
 def build_case_b(
     spec: SequenceSpec,
     alpha: float = 0.5,
@@ -179,6 +190,8 @@ def build_case_b(
     the complemented sequence at ``1 - alpha`` and returns ``I - Q``.
     ``report``, when given, is ``feasibility(spec, alpha, budget=budget)``
     already computed by the caller, and is used instead of a second scan.
+    Its side counts bound the terms each side yields; a ``None`` count raises
+    :class:`TailCertificateError` before any term is read.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
@@ -194,6 +207,7 @@ def build_case_b(
     complemented = False
     work_spec, work_alpha = spec, alpha
     a_f, b_f = float(report.low_sum), float(report.high_complement_sum)
+    limits = (report.low_count, report.high_count)
     if not report.low_mass_infinite and report.high_mass_infinite:
         # Only the high side carries infinite mass: the residual ordering
         # mu < delta could not be sustained, so build for the complement.
@@ -201,17 +215,18 @@ def build_case_b(
         work_spec, work_alpha = complement(spec), 1.0 - alpha
         sums = kadison_sums(work_spec, work_alpha, budget=budget)
         a_f, b_f = float(sums.low), float(sums.high)
+        limits = (sums.low_count, sums.high_count)
     snap = 1e-13 * max(1.0, a_f, b_f)
 
     def residual(total: float, taken: float) -> float:
         left = total - taken
         return 0.0 if left <= snap else left
 
-    # Side 0 is the low side, side 1 the high side.  Both are counted before
-    # any term is pulled, so an unattributable side fails first.
-    for low in (True, False):
-        side_index_count(work_spec, work_alpha, low)
-    sides = [side_indices(work_spec, work_alpha, low) for low in (True, False)]
+    # Side 0 is the low side, side 1 the high side.  Both counts are read
+    # before any term is pulled, so an unattributable side fails first.
+    if None in limits:
+        raise TailCertificateError("tail rule cannot attribute positions to a side")
+    sides = [_side_terms(work_spec, work_alpha, low, n) for low, n in zip((True, False), limits)]
     totals = (a_f, b_f)
     taken = [0.0, 0.0]  # covered low mass, covered high complement mass
     pulls = 0
@@ -443,24 +458,20 @@ def projection_with_trace(
 ) -> TruncatedProjection:
     """Truncated projection whose diagonal is the (summable) sequence.
 
-    The sequence total must be within the integer tolerance of an integer
-    ``m``; the returned truncation has trace within ``_TRACE_TOL`` (1e-8) of ``m``
+    One :func:`feasibility` call at 1/2 decides it: Case A or infinitely many
+    terms above 1/2 is not summable (``ValueError``), and the total
+    ``a_f + high_count - b_f`` is an integer ``m`` exactly when ``a_f - b_f``
+    is (else :class:`InfeasibleDiagonalError`).  The returned truncation has
+    trace within ``_TRACE_TOL`` (1e-8) of ``m``
     (the construction is run deep enough that every above-half entry is
     covered, at which point the trace equals ``m`` exactly in real
     arithmetic).
     """
-    total = sequence_total(spec)
-    if not math.isfinite(total):
+    report = feasibility(spec, 0.5, budget=budget)
+    if report.feasibility is Feasibility.CASE_A or report.high_count in (None, math.inf):
         raise ValueError("the sequence is not summable")
-    m = round(total)
-    defect = abs(total - m)
-    if defect > INTEGER_TOL:
-        raise InfeasibleDiagonalError(
-            f"sequence total {total!r} is {defect:.3e} away from an integer", defect=defect
-        )
-    high_count = int(side_index_count(spec, 0.5, False))
-    depth = max(1, math.ceil(math.log2(3.0 / _TRACE_TOL)), high_count)
-    return build_case_b(spec, 0.5, depth, budget=budget)[-1]
+    depth = max(1, math.ceil(math.log2(3.0 / _TRACE_TOL)), int(report.high_count))
+    return build_case_b(spec, 0.5, depth, budget=budget, report=report)[-1]
 
 
 def projection_with_cotrace(

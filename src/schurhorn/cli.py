@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import sys
 
 import numpy as np
@@ -67,10 +66,6 @@ def _fmt(value) -> str:
     if isinstance(value, Feasibility):
         return value.value
     if isinstance(value, float):
-        if value == math.inf:
-            return "inf"
-        if value == -math.inf:
-            return "-inf"
         return f"{value:.12g}"
     return str(value)
 

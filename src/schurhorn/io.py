@@ -31,7 +31,7 @@ from typing import get_args
 import numpy as np
 
 from .carpenter import TruncatedProjection
-from .majorization import TTransform, TTransformPlan
+from .majorization import TTransformPlan
 from .sequences import (
     Certificate,
     GeometricHigh,
@@ -204,15 +204,12 @@ def plan_from_obj(obj) -> TTransformPlan:
         j = _require(entry, "j", int, f"plan transform {pos}")
         k = _require(entry, "k", int, f"plan transform {pos}")
         t = _require(entry, "t", float, f"plan transform {pos}")
-        if j < 1 or k < 1:
-            raise FormatError(f"plan transform {pos}: positions are 1-based")
-        try:
-            tr = TTransform(j - 1, k - 1, t)
-        except ValueError as exc:
-            raise FormatError(f"plan transform {pos}: {exc}") from exc
-        js.append(tr.j)
-        ks.append(tr.k)
-        ts.append(tr.t)
+        if j < 1 or k < 1 or j == k or not 0.0 <= t <= 1.0:
+            raise FormatError(f"plan transform {pos}: ({j}, {k}, {t}) needs two distinct "
+                              "1-based positions and a mixing weight in [0, 1]")
+        js.append(j - 1)
+        ks.append(k - 1)
+        ts.append(t)
     source, placement = (
         _one_based(_require(obj, name, list, "plan"), f"plan {name}", "a 1-based integer")
         for name in ("source_order", "placement")

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -118,26 +119,18 @@ def _deviation_sums(v: np.ndarray, pts: np.ndarray) -> np.ndarray:
     return (2 * m - s.size) * pts - 2.0 * below[m] + below[-1]
 
 
-@dataclass(frozen=True)
-class TTransform:
+class TTransform(NamedTuple):
     """Mixing step replacing entries (j, k) by their t-weighted averages.
 
     Positions are 0-based.  Applied to ``v`` it sets
     ``v[j] = t*v[j] + (1-t)*v[k]`` and ``v[k] = (1-t)*v[j] + t*v[k]``.
+    A step is a plain record: :func:`decompose_t_transforms` builds only
+    valid ones, and :func:`schurhorn.io.plan_from_obj` checks those it reads.
     """
 
     j: int
     k: int
     t: float
-
-    def __post_init__(self):
-        if self.j == self.k:
-            raise ValueError("T-transform needs two distinct positions")
-        if self.j < 0 or self.k < 0:
-            raise ValueError("T-transform positions must be non-negative")
-        if not 0.0 <= self.t <= 1.0:
-            raise ValueError(f"mixing weight must lie in [0, 1], got {self.t}")
-        object.__setattr__(self, "t", float(self.t))  # written as a JSON float
 
 
 @dataclass(frozen=True)
@@ -160,7 +153,7 @@ class TTransformPlan:
 
     @property
     def transforms(self) -> tuple[TTransform, ...]:
-        """The steps as validated :class:`TTransform` objects, built on each access."""
+        """The steps as :class:`TTransform` records, built on each access."""
         return tuple(map(TTransform, self.j, self.k, self.t))
 
 
@@ -229,7 +222,7 @@ def decompose_t_transforms(x, y, tol: float = 1e-9) -> TTransformPlan:
             t = (0.5 * target - 0.5 * lo) / (0.5 * hi - 0.5 * lo)
         else:
             t = (target - lo) / denom
-        t = min(1.0, max(0.0, t))  # with low != top (pick >= 1), a valid TTransform
+        t = min(1.0, max(0.0, t))  # with low != top (pick >= 1), a valid step
         js.append(top)
         ks.append(low)
         ts.append(t)

@@ -10,11 +10,11 @@ Each tail rule is a class that carries its own behaviour, tagged with its
 wire name ``kind``: ``term(i)`` is tail position ``i`` (1-based),
 ``complement()`` the rule of ``1 - term``,
 ``side_sums(alpha, budget)`` the :class:`SideSums` at a threshold
-(evaluating at most ``budget`` terms, else :class:`BudgetExhaustedError`),
-``side_count(alpha, low)`` the number of indices on one side (``inf``, or
-``None`` when the rule cannot attribute them), ``total()`` the sum of all
-terms and ``to_obj()`` the wire form.
-``SideSums.total_divergent`` is derived from the two side sums, not stored.
+(evaluating at most ``budget`` terms, else :class:`BudgetExhaustedError`)
+and ``to_obj()`` the wire form.  The split at a threshold is the one
+question a rule answers: :class:`SideSums` carries each side's sum and its
+number of positions, and ``SideSums.total_divergent`` is derived from the
+two side sums, not stored.
 
 Indices are 1-based throughout: ``term(spec, 1)`` is the first entry.
 """
@@ -42,9 +42,6 @@ __all__ = [
     "SequenceSpec",
     "term",
     "complement",
-    "side_index_count",
-    "side_indices",
-    "sequence_total",
 ]
 
 _SAMPLE_INDICES = tuple(range(1, 33)) + tuple(2**k for k in range(6, 16))
@@ -66,8 +63,8 @@ _GEN_FUNCS = {
     "exp": math.exp,
     "sin": math.sin,
     "cos": math.cos,
-    "floor": math.floor,
-    "ceil": math.ceil,
+    "floor": lambda x: float(math.floor(x)),
+    "ceil": lambda x: float(math.ceil(x)),
     "min": min,
     "max": max,
     "abs": abs,
@@ -88,6 +85,19 @@ _GEN_NODES = (
 
 # Exceptions a whitelisted generator can raise when evaluated.
 _GEN_ERRORS = (ArithmeticError, TypeError, ValueError)
+
+
+class _FloatOnly(ast.NodeTransformer):
+    """Make a checked generator compute only floats: int literals become floats, comparisons
+    and ``not`` give 1.0 or 0.0, so ``**`` overflows instead of building unbounded ints."""
+
+    def visit(self, node):
+        node = self.generic_visit(node)
+        if isinstance(node, ast.Constant):
+            return ast.Constant(float(node.value))
+        if isinstance(node, ast.Compare) or isinstance(getattr(node, "op", None), ast.Not):
+            return ast.IfExp(node, ast.Constant(1.0), ast.Constant(0.0))
+        return node
 
 
 def _compile_generator(expr: str):
@@ -116,9 +126,12 @@ def _compile_generator(expr: str):
     args = ast.arguments(
         posonlyargs=[], args=[ast.arg("i")], kwonlyargs=[], kw_defaults=[], defaults=[]
     )
-    fn = ast.fix_missing_locations(ast.Expression(ast.Lambda(args, tree.body)))
     try:
+        body = _FloatOnly().visit(tree.body)
+        fn = ast.fix_missing_locations(ast.Expression(ast.Lambda(args, body)))
         code = compile(fn, "<tail generator>", "eval")
+    except OverflowError as exc:
+        raise TailCertificateError(f"generator {expr!r}: a constant leaves float range") from exc
     except (RecursionError, MemoryError) as exc:
         raise TailCertificateError(f"generator {expr!r} is nested too deeply") from exc
     return eval(code, {"__builtins__": {}, **_GEN_FUNCS})  # noqa: S307 - whitelisted
@@ -159,13 +172,17 @@ class SideSums:
     ``1 - term`` over the remaining ones.  Values are exact reals, ``inf``
     when the side is certified divergent, or ``None`` when divergence is
     certified in total but the certificate cannot attribute it to one side
-    at this threshold.
+    at this threshold.  ``low_count`` and ``high_count`` are the numbers of
+    positions on each side: an int, ``inf``, or ``None`` when the rule
+    cannot attribute its positions at this threshold.
     """
 
     low: float | None
     high: float | None
     low_mass_infinite: bool
     high_mass_infinite: bool
+    low_count: float | None
+    high_count: float | None
 
     @property
     def total_divergent(self) -> bool:
@@ -173,12 +190,14 @@ class SideSums:
         return any(s is None or s == math.inf for s in (self.low, self.high))
 
 
+def _add_counts(a: float | None, b: float | None) -> float | None:
+    """Sum of two side counts; an unattributed (``None``) count wins."""
+    return None if a is None or b is None else a + b
+
+
 def _combine(a: float | None, b: float | None) -> float | None:
-    if a is None:
-        return None if b != math.inf else math.inf
-    if b is None:
-        return None if a != math.inf else math.inf
-    return a + b
+    """Sum of two side sums; ``inf`` wins, then an unattributed ``None``."""
+    return math.inf if math.inf in (a, b) else _add_counts(a, b)
 
 
 def _geometric_split(c: float, r: float, bound: float, inclusive: bool):
@@ -219,13 +238,7 @@ class ZeroTail:
         return OneTail()
 
     def side_sums(self, alpha: float, budget: int = 100_000) -> SideSums:
-        return SideSums(0.0, 0.0, False, False)
-
-    def side_count(self, alpha: float, low: bool) -> float | None:
-        return math.inf if low else 0
-
-    def total(self) -> float:
-        return 0.0
+        return SideSums(0.0, 0.0, False, False, math.inf, 0)
 
     def to_obj(self) -> dict:
         return {"kind": self.kind}
@@ -244,13 +257,7 @@ class OneTail:
         return ZeroTail()
 
     def side_sums(self, alpha: float, budget: int = 100_000) -> SideSums:
-        return SideSums(0.0, 0.0, False, False)
-
-    def side_count(self, alpha: float, low: bool) -> float | None:
-        return 0 if low else math.inf
-
-    def total(self) -> float:
-        return math.inf
+        return SideSums(0.0, 0.0, False, False, 0, math.inf)
 
     def to_obj(self) -> dict:
         return {"kind": self.kind}
@@ -287,16 +294,8 @@ class GeometricLow(_Geometric):
         return GeometricHigh(self.c, self.r)
 
     def side_sums(self, alpha: float, budget: int = 100_000) -> SideSums:
-        _, high, low = _geometric_split(self.c, self.r, alpha, inclusive=False)
-        return SideSums(low, high, self.c > 0.0, False)
-
-    def side_count(self, alpha: float, low: bool) -> float | None:
-        if low:
-            return math.inf
-        return _geometric_split(self.c, self.r, alpha, inclusive=False)[0] - 1
-
-    def total(self) -> float:
-        return self.c * self.r / (1.0 - self.r)
+        i, high, low = _geometric_split(self.c, self.r, alpha, inclusive=False)
+        return SideSums(low, high, self.c > 0.0, False, math.inf, i - 1)
 
 
 class GeometricHigh(_Geometric):
@@ -311,16 +310,8 @@ class GeometricHigh(_Geometric):
         return GeometricLow(self.c, self.r)
 
     def side_sums(self, alpha: float, budget: int = 100_000) -> SideSums:
-        _, low, high = _geometric_split(self.c, self.r, 1.0 - alpha, inclusive=True)
-        return SideSums(low, high, False, self.c > 0.0)
-
-    def side_count(self, alpha: float, low: bool) -> float | None:
-        if not low:
-            return math.inf
-        return _geometric_split(self.c, self.r, 1.0 - alpha, inclusive=True)[0] - 1
-
-    def total(self) -> float:
-        return math.inf
+        i, low, high = _geometric_split(self.c, self.r, 1.0 - alpha, inclusive=True)
+        return SideSums(low, high, False, self.c > 0.0, i - 1, math.inf)
 
 
 @dataclass(frozen=True)
@@ -348,17 +339,9 @@ class Interleave:
             _combine(a.high, b.high),
             a.low_mass_infinite or b.low_mass_infinite,
             a.high_mass_infinite or b.high_mass_infinite,
+            _add_counts(a.low_count, b.low_count),
+            _add_counts(a.high_count, b.high_count),
         )
-
-    def side_count(self, alpha: float, low: bool) -> float | None:
-        a = self.first.side_count(alpha, low)
-        b = self.second.side_count(alpha, low)
-        if a is None or b is None:
-            return None
-        return a + b
-
-    def total(self) -> float:
-        return self.first.total() + self.second.total()
 
     def to_obj(self) -> dict:
         return {"kind": self.kind, "parts": [self.first.to_obj(), self.second.to_obj()]}
@@ -393,11 +376,7 @@ class _Divergent:
         return TailCertificateError(f"generator {self.generator!r} failed at i={i}: {exc}")
 
     def _value(self, i: int) -> float:
-        """The unclamped generator value at ``i``.
-
-        The generator sees ``i`` as a float, so ``**`` on the index overflows
-        (an error) instead of building an unbounded integer.
-        """
+        """The unclamped generator value at ``i``, passed to it as a float."""
         try:
             return float(self._fn(float(i)))
         except _GEN_ERRORS as exc:
@@ -419,9 +398,6 @@ class _Divergent:
         if start - 1 > budget:
             raise BudgetExhaustedError(f"certificate start {start} needs more than {budget} terms")
         return range(1, start)
-
-    def total(self) -> float:
-        return math.inf
 
     def to_obj(self) -> dict:
         cert = self.certificate
@@ -447,20 +423,15 @@ class DivergentLow(_Divergent):
         cert = self.certificate
         if alpha >= 0.5:
             # Every term sits in [0, 1/2], hence on the low side.
-            return SideSums(math.inf, 0.0, True, False)
+            return SideSums(math.inf, 0.0, True, False, math.inf, 0)
         if cert.kind == "constant" and cert.p > alpha:
             low = 0.0
             for i in self._head(budget):
                 v = self.term(i)
                 if v <= alpha:
                     low += v
-            return SideSums(low, math.inf, False, True)
-        return SideSums(None, None, True, True)
-
-    def side_count(self, alpha: float, low: bool) -> float | None:
-        if alpha >= 0.5:
-            return math.inf if low else 0
-        return None
+            return SideSums(low, math.inf, False, True, None, None)
+        return SideSums(None, None, True, True, None, None)
 
 
 class DivergentHigh(_Divergent):
@@ -478,24 +449,18 @@ class DivergentHigh(_Divergent):
         cert = self.certificate
         if alpha < 0.5:
             # Every term sits in [1/2, 1], hence strictly above alpha.
-            return SideSums(0.0, math.inf, False, True)
+            return SideSums(0.0, math.inf, False, True, 0, math.inf)
         if cert.kind == "constant" and cert.p > 1.0 - alpha:
             high = 0.0
             for i in self._head(budget):
                 v = self.term(i)
                 if v > alpha:
                     high += 1.0 - v
-            return SideSums(math.inf, high, True, False)
+            return SideSums(math.inf, high, True, False, None, None)
         if alpha == 0.5 and all(self._value(i) < 0.5 - 1e-9 for i in _SAMPLE_INDICES):
             # Sampled generator stays below 1/2, so terms stay above alpha.
-            return SideSums(0.0, math.inf, False, True)
-        return SideSums(None, None, True, True)
-
-    def side_count(self, alpha: float, low: bool) -> float | None:
-        if alpha < 0.5:
-            return 0 if low else math.inf
-        return None
-
+            return SideSums(0.0, math.inf, False, True, None, None)
+        return SideSums(None, None, True, True, None, None)
 
 TailRule = Union[
     ZeroTail, OneTail, GeometricLow, GeometricHigh, Interleave, DivergentLow, DivergentHigh
@@ -532,36 +497,3 @@ def complement(spec: SequenceSpec) -> SequenceSpec:
     """Termwise complement: position i holds ``1 - term(spec, i)``."""
     return SequenceSpec(tuple(1.0 - v for v in spec.prefix), spec.tail.complement())
 
-
-def side_index_count(spec: SequenceSpec, alpha: float, low: bool) -> float:
-    """Number of sequence positions on one side of the threshold.
-
-    Raises :class:`TailCertificateError` when the tail rule cannot pin the
-    count down (divergent rules at thresholds their certificate does not
-    resolve).
-    """
-    tail_count = spec.tail.side_count(alpha, low)
-    if tail_count is None:
-        raise TailCertificateError(
-            "tail rule cannot attribute indices to a side at this threshold"
-        )
-    prefix_count = sum(1 for v in spec.prefix if (v <= alpha) == low)
-    return prefix_count + tail_count
-
-
-def side_indices(spec: SequenceSpec, alpha: float, low: bool):
-    """Yield ``(index, value)`` for positions on one side, in increasing index order."""
-    limit = side_index_count(spec, alpha, low)
-    yielded = 0
-    i = 1
-    while yielded < limit:
-        v = term(spec, i)
-        if (v <= alpha) == low:
-            yield i, v
-            yielded += 1
-        i += 1
-
-
-def sequence_total(spec: SequenceSpec) -> float:
-    """Sum of all sequence terms (``inf`` when not summable)."""
-    return float(sum(spec.prefix)) + spec.tail.total()

@@ -3,6 +3,7 @@
 import math
 import random
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -421,6 +422,35 @@ def test_projection_with_trace_examples():
     assert exc.value.defect == pytest.approx(0.5)
     with pytest.raises(ValueError):
         projection_with_trace(SequenceSpec((), OneTail()))
+
+
+@pytest.mark.parametrize(
+    "tail",
+    [
+        OneTail(),
+        GeometricHigh(1.0, 0.5),
+        DivergentLow("0.25", Certificate("constant", 0.25)),
+        DivergentHigh("0.25", Certificate("constant", 0.25)),
+    ],
+    ids=lambda tail: tail.kind,
+)
+def test_projection_with_trace_rejects_unsummable_sequences(tail):
+    with pytest.raises(ValueError, match="not summable") as exc:
+        projection_with_trace(SequenceSpec((0.5,), tail))
+    assert type(exc.value) is ValueError
+
+
+def test_case_b_unattributed_side_fails_before_any_term(monkeypatch):
+    report = feasibility(HALF_INTERLEAVE)
+    seen = []
+    real = carpenter.term
+    monkeypatch.setattr(carpenter, "term", lambda *args: seen.append(args) or real(*args))
+    for side in ("low_count", "high_count"):
+        with pytest.raises(TailCertificateError):
+            build_case_b(HALF_INTERLEAVE, depth=2, report=replace(report, **{side: None}))
+    assert seen == []
+    assert build_case_b(HALF_INTERLEAVE, depth=2, report=report)[-1].covered == (1, 2, 3, 4, 6)
+    assert seen
 
 
 def test_projection_with_cotrace_example():

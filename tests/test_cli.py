@@ -421,6 +421,30 @@ def test_generator_power_of_the_index_exits_two(tmp_path, capsys):
     assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
 
 
+_TWO = "((i > 0) + (i > 0))"
+
+
+@pytest.mark.parametrize(
+    "generator",
+    [
+        "0.25 + 0*3**700",
+        "0.25 + 0*9**floor(i*10)",
+        "0.25 + 0*9**ceil(i*10)",
+        f"0.25 + 0*{_TWO}**{_TWO}**{_TWO}**{_TWO}**{_TWO}",
+        "0.25 + 0*1" + "0" * 400,
+    ],
+    ids=["int-literal-power", "floor-power", "ceil-power", "bool-power-tower", "huge-literal"],
+)
+def test_generator_integer_arithmetic_exits_two(tmp_path, capsys, generator):
+    # Literals, floor, ceil and comparisons give floats, so each of these
+    # powers overflows (or its literal leaves float range) instead of
+    # building an integer that grows with the spec.
+    assert main(["obstruction", _divergent_spec(tmp_path, 1, generator)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
+
+
 def test_case_a_without_monotone_subsequence_builds(tmp_path, capsys):
     # A valid, certified spec whose terms hold no monotone divergent run.
     spec = _divergent_spec(tmp_path, 1, "0.3+0.2*sin(i)**2", p=0.3)

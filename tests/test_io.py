@@ -61,7 +61,9 @@ def matrix_to_obj(m) -> dict:
 
 def plan_to_obj(plan) -> dict:
     return {
-        "transforms": [{"j": tr.j + 1, "k": tr.k + 1, "t": tr.t} for tr in plan.transforms],
+        "transforms": [
+            {"j": tr.j + 1, "k": tr.k + 1, "t": float(tr.t)} for tr in plan.transforms
+        ],
         "source_order": [p + 1 for p in plan.source_order],
         "placement": [p + 1 for p in plan.placement],
     }
@@ -271,6 +273,10 @@ def _step(**changes):
     "obj",
     [
         _plan_obj(transforms=_step(k=1)),
+        _plan_obj(transforms=_step(j=0)),
+        _plan_obj(transforms=_step(k=-1)),
+        _plan_obj(transforms=_step(t=-0.5)),
+        _plan_obj(transforms=_step(t=math.nan)),
         _plan_obj(transforms=_step(j=True)),
         _plan_obj(transforms=_step(k=2.0)),
         _plan_obj(transforms=_step(t=True)),
@@ -290,7 +296,7 @@ def _step(**changes):
         _plan_obj(placement=[2]),
         _plan_obj(placement=[1, 1]),
     ],
-    ids=["j-equals-k", "bool-j", "float-k", "bool-t", "string-t", "t-above-one",
+    ids=["j-equals-k", "zero-j", "negative-k", "t-below-zero", "nan-t", "bool-j", "float-k", "bool-t", "string-t", "t-above-one",
          "list-step", "null-step", "huge-j", "huge-k", "huge-source", "huge-placement",
          "bool-source", "zero-source", "bool-placement", "zero-placement",
          "repeated-source", "short-placement", "repeated-placement"],

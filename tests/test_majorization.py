@@ -149,15 +149,6 @@ def test_majorizes_routes_agree_hypothesis(x, y):
     assert a == b == c
 
 
-def test_t_transform_validation():
-    with pytest.raises(ValueError):
-        TTransform(1, 1, 0.5)
-    with pytest.raises(ValueError):
-        TTransform(0, 1, 1.5)
-    with pytest.raises(ValueError):
-        TTransform(-1, 1, 0.5)
-
-
 def test_t_transform_matrix_is_doubly_stochastic_and_acts_right():
     rng = np.random.default_rng(202)
     for _ in range(20):

@@ -21,9 +21,6 @@ from schurhorn import (
     ZeroTail,
     complement,
     kadison_sums,
-    sequence_total,
-    side_index_count,
-    side_indices,
     term,
 )
 from schurhorn.sequences import _GEN_FUNCS
@@ -119,14 +116,14 @@ def _mp_scan(c, r, bound, inclusive):
 def test_geometric_split_matches_exact_scan(c, r, alpha):
     i, high, low = _mp_scan(c, r, alpha, inclusive=False)
     s = GeometricLow(c, r).side_sums(alpha)
-    assert GeometricLow(c, r).side_count(alpha, low=False) == i - 1
+    assert (s.low_count, s.high_count) == (math.inf, i - 1)
     assert s.low == pytest.approx(low, rel=1e-12, abs=1e-15)
     assert s.high == pytest.approx(high, rel=1e-12)
     # 1 - c*r**j <= alpha exactly when c*r**j >= 1 - alpha; the code compares with
     # the float 1 - alpha, and no term on this grid falls between the two.
     j, low, high = _mp_scan(c, r, 1 - mpmath.mpf(alpha), inclusive=True)
     s = GeometricHigh(c, r).side_sums(alpha)
-    assert GeometricHigh(c, r).side_count(alpha, low=True) == j - 1
+    assert (s.low_count, s.high_count) == (j - 1, math.inf)
     assert s.low == pytest.approx(low, rel=1e-12)
     assert s.high == pytest.approx(high, rel=1e-12, abs=1e-15)
 
@@ -134,17 +131,17 @@ def test_geometric_split_matches_exact_scan(c, r, alpha):
 def test_geometric_split_exact_boundary_hits():
     # c*r**3 == alpha exactly: the third term is low, the first two high.
     s = GeometricLow(1.0, 0.5).side_sums(0.125)
-    assert GeometricLow(1.0, 0.5).side_count(0.125, low=False) == 2
+    assert s.high_count == 2
     assert (s.low, s.high) == (0.25, 1.25)
     # 1 - r**3 == alpha exactly: the first three terms are low.
     s = GeometricHigh(1.0, 0.5).side_sums(0.875)
-    assert GeometricHigh(1.0, 0.5).side_count(0.875, low=True) == 3
+    assert s.low_count == 3
     assert (s.low, s.high) == (2.125, 0.125)  # 1/2 + 3/4 + 7/8; 1/16 + 1/32 + ...
 
 
 def test_slow_geometric_split_is_closed_form():
     tail = GeometricLow(1.0, 0.9999999)
-    i = tail.side_count(0.01, low=False) + 1
+    i = tail.side_sums(0.01).high_count + 1
     with mpmath.workdps(50):
         c, r = mpmath.mpf(1.0), mpmath.mpf(0.9999999)
         assert c * r ** (i - 1) > 0.01 >= c * r**i
@@ -205,27 +202,54 @@ def test_divergent_high_attribution():
     assert s.low is None and s.high is None
 
 
-def test_side_index_count_and_iteration():
-    spec = SequenceSpec((0.9,), GeometricLow(1.0, 0.5))
-    assert side_index_count(spec, 0.5, low=True) == math.inf
-    assert side_index_count(spec, 0.5, low=False) == 1  # just the prefix 0.9
-    lows = side_indices(spec, 0.5, low=True)
-    first_three = [next(lows) for _ in range(3)]
-    assert first_three == [(2, 0.5), (3, 0.25), (4, 0.125)]
-    highs = list(side_indices(spec, 0.5, low=False))
-    assert highs == [(1, 0.9)]
-    h = SequenceSpec((), DivergentLow("0.5/i", Certificate("harmonic", 0.5)))
-    with pytest.raises(TailCertificateError):
-        side_index_count(h, 0.25, low=True)
+def test_side_counts_of_a_sequence():
+    s = kadison_sums(SequenceSpec((0.9,), GeometricLow(1.0, 0.5)), 0.5)
+    assert (s.low_count, s.high_count) == (math.inf, 1)  # just the prefix 0.9 is high
+    harmonic = DivergentLow("0.5/i", Certificate("harmonic", 0.5))
+    s = kadison_sums(SequenceSpec((0.9, 0.1), harmonic), 0.25)
+    assert (s.low_count, s.high_count) == (None, None)  # unattributed tail: no count
+    s = kadison_sums(SequenceSpec((0.9,), Interleave(harmonic, OneTail())), 0.25)
+    assert (s.low_count, s.high_count) == (None, None)  # None wins over inf
 
 
-def test_totals():
-    assert ZeroTail().total() == 0.0
-    assert OneTail().total() == math.inf
-    assert GeometricLow(1.0, 0.5).total() == 1.0
-    assert GeometricHigh(1.0, 0.5).total() == math.inf
-    assert sequence_total(SequenceSpec((0.5, 0.25), GeometricLow(0.5, 0.5))) == 1.25
-    assert sequence_total(SequenceSpec((1.0,), HALF_INTERLEAVE)) == math.inf
+_COUNT_TAILS = [
+    ZeroTail(),
+    OneTail(),
+    GeometricLow(1.0, 0.5),
+    GeometricLow(0.0, 0.5),
+    GeometricLow(2.0, 0.3),
+    GeometricLow(1.0, 0.99),
+    GeometricHigh(1.0, 0.5),
+    GeometricHigh(0.5, 0.9),
+    HALF_INTERLEAVE,
+    Interleave(GeometricLow(0.9, 0.9), ZeroTail()),
+    Interleave(Interleave(GeometricHigh(1.0, 0.99), OneTail()), GeometricLow(1.0, 0.7)),
+    Interleave(GeometricLow(1.0, 0.5), DivergentLow("0.25", Certificate("constant", 0.25))),
+    DivergentLow("0.25", Certificate("constant", 0.25)),
+    DivergentLow("0.5/i", Certificate("harmonic", 0.5)),
+    DivergentHigh("0.4", Certificate("constant", 0.4)),
+    DivergentHigh("0.5/sqrt(i)", Certificate("harmonic", 0.5)),
+]
+
+
+@pytest.mark.parametrize("tail", _COUNT_TAILS, ids=lambda t: t.kind)
+@pytest.mark.parametrize("prefix", [(), (0.9, 0.01, 0.5, 0.125, 1.0, 0.0)])
+@pytest.mark.parametrize("alpha", [0.01, 0.125, 0.3, 0.5, 0.875])
+def test_side_counts_match_a_scan(tail, prefix, alpha):
+    # A finite count is the number of positions a scan finds on that side; an
+    # infinite side still has positions in the second half of the scan.
+    spec = SequenceSpec(prefix, tail)
+    s = kadison_sums(spec, alpha)
+    if s.low_count is None or s.high_count is None:
+        assert s.total_divergent
+        return
+    n = 4000
+    low = [term(spec, i) <= alpha for i in range(1, n + 1)]
+    for count, side in ((s.low_count, low), (s.high_count, [not x for x in low])):
+        if count == math.inf:
+            assert any(side[n // 2 :])
+        else:
+            assert count == sum(side)
 
 
 def test_certificate_validation():
