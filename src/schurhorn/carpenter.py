@@ -35,9 +35,14 @@ from .majorization import verify_concentration
 from .schur import InfeasibleDiagonalError, _mix_rows_to, carpenter_finite
 from .sequences import (
     BudgetExhaustedError,
+    GeometricHigh,
+    GeometricLow,
+    Interleave,
+    OneTail,
     SequenceSpec,
     SideSums,
     TailCertificateError,
+    ZeroTail,
     _add_counts,
     _combine,
     complement,
@@ -81,8 +86,8 @@ class KadisonReport:
     certified divergent side, or ``None`` when total divergence cannot be
     attributed to a single side; ``low_count`` / ``high_count`` count each
     side's positions likewise (see :class:`SideSums`).  ``defect`` is the
-    distance of the sums' difference from the nearest integer (``None``
-    unless both are finite).
+    distance of the sums' difference from the nearest integer, computed
+    exactly (see :func:`feasibility`; ``None`` unless both are finite).
     """
 
     alpha: float
@@ -116,21 +121,66 @@ def kadison_sums(spec: SequenceSpec, alpha: float = 0.5, *, budget: int = 100_00
     )
 
 
+def _tail_ratio(rule) -> tuple[int, int]:
+    """``(p, q)`` with ``p / q`` the exact sum of a summable tail rule's terms,
+    a term ``v`` above the threshold counted as ``-(1 - v)``, the same mod 1.
+
+    Floats are dyadic rationals, so for ``c = nc/dc`` and ``r = nr/dr`` a
+    geometric part's ``c r / (1 - r)`` is exactly ``nc nr / (dc (dr - nr))``:
+    it adds for a geometric-low part and subtracts for a geometric-high one.
+    Zero and one tails add 0, and an interleave adds its parts.
+    """
+    if isinstance(rule, Interleave):
+        p1, q1 = _tail_ratio(rule.first)
+        p2, q2 = _tail_ratio(rule.second)
+        return p1 * q2 + p2 * q1, q1 * q2
+    if isinstance(rule, (GeometricLow, GeometricHigh)):
+        nc, dc = rule.c.as_integer_ratio()
+        nr, dr = rule.r.as_integer_ratio()
+        p = nc * nr
+        return (p if isinstance(rule, GeometricLow) else -p), dc * (dr - nr)
+    if isinstance(rule, (ZeroTail, OneTail)):
+        return 0, 1
+    raise TypeError(f"{rule.kind} tails have no closed-form sum")
+
+
+def _integrality_defect(spec: SequenceSpec) -> float:
+    """Exact distance of ``a_f - b_f`` from the nearest integer, both sums finite.
+
+    A term ``v`` adds ``v`` on the low side and ``-(1 - v)`` on the high
+    side, the same mod 1, so ``a_f - b_f`` is the prefix sum plus the tail's
+    :func:`_tail_ratio`, mod 1, at every threshold.
+    """
+    ratios = [v.as_integer_ratio() for v in spec.prefix]
+    q = max((b for _, b in ratios), default=1)  # powers of two: the largest is their lcm
+    p = sum(a * (q // b) for a, b in ratios)
+    tail_p, tail_q = _tail_ratio(spec.tail)
+    num, den = p * tail_q + tail_p * q, q * tail_q
+    rem = num % den
+    return min(rem, den - rem) / den
+
+
 def feasibility(
     spec: SequenceSpec,
     alpha: float = 0.5,
     *,
     budget: int = 100_000,
 ) -> KadisonReport:
-    """Decide which construction (if any) applies to the sequence at ``alpha``."""
+    """Decide which construction (if any) applies to the sequence at ``alpha``.
+
+    When both side sums are finite, the defect is the exact distance of
+    ``a_f - b_f`` from the nearest integer, in integer arithmetic from the
+    closed forms (:func:`_integrality_defect`) rather than from the
+    difference of the two float sums, so the verdict does not depend on
+    ``alpha``.
+    """
     sums = kadison_sums(spec, alpha, budget=budget)
     low, high = sums.low, sums.high
     if sums.total_divergent:
         verdict = Feasibility.CASE_A
         defect = None
     else:
-        diff = low - high
-        defect = abs(diff - round(diff))
+        defect = _integrality_defect(spec)
         verdict = Feasibility.CASE_B if defect <= INTEGER_TOL else Feasibility.INFEASIBLE
     return KadisonReport(alpha, low, high, sums.low_mass_infinite, sums.high_mass_infinite,
                          sums.low_count, sums.high_count, defect, verdict)

@@ -11,8 +11,8 @@ Subcommands::
 Output is ``key=value`` lines by default, a two-line CSV with ``--csv``, or
 prose with ``--human``.  Exit codes: 0 success, 1 infeasible (including a
 failed verification or a non-majorised pair), 2 malformed input, 3 numerical
-failure (including a ``majorize --decompose`` or ``synth`` whose own printed
-error exceeds ``--tol`` scaled by the input).
+failure (including a ``majorize --decompose``, ``synth`` or ``carpenter``
+whose own printed error exceeds ``--tol`` scaled by the input).
 """
 
 from __future__ import annotations
@@ -76,14 +76,15 @@ def _max_gap(a, b) -> float:
     return float(np.max(gap)) if gap.size else 0.0
 
 
-def _check_errors(pairs, tol: float, y) -> None:
+def _check_errors(pairs, tol: float, scale) -> None:
     """Raise ``RuntimeError`` (exit 3) when a printed ``*_error`` exceeds
-    ``tol * max(1, max|y|)``: the command's check of its own witness."""
-    bound = tol * max(1.0, float(np.max(np.abs(y), initial=0.0)))
+    ``tol * max(1, max|scale|)``, ``scale`` being the input vector whose size
+    sets the roundoff: the command's check of its own witness."""
+    bound = tol * max(1.0, float(np.max(np.abs(scale), initial=0.0)))
     for key, value in pairs:
         if key.endswith("_error") and not value <= bound:
             raise RuntimeError(
-                f"{key}={_fmt(value)} exceeds tol * max(1, max|y|) = {_fmt(bound)}"
+                f"{key}={_fmt(value)} exceeds tol * max(1, max|input|) = {_fmt(bound)}"
             )
 
 
@@ -143,17 +144,15 @@ def _cmd_carpenter(args) -> int:
     d = load_vector(args.diagonal)
     p = carpenter_finite(d, args.tol)
     save_matrix(args.out, p)
-    diag_error = _max_gap(np.diag(p), d)
-    _emit(
-        [
-            ("n", d.size),
-            ("trace", float(np.trace(p).real)),
-            ("projection_residual", projection_residual(p)),
-            ("diagonal_error", diag_error),
-            ("entry_excess", projection_entry_excess(p)),
-        ],
-        args,
-    )
+    pairs = [
+        ("n", d.size),
+        ("trace", float(np.trace(p).real)),
+        ("projection_residual", projection_residual(p)),
+        ("diagonal_error", _max_gap(np.diag(p), d)),
+        ("entry_excess", projection_entry_excess(p)),
+    ]
+    _emit(pairs, args)
+    _check_errors(pairs, args.tol, d)
     return 0
 
 

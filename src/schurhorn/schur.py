@@ -26,7 +26,7 @@ __all__ = [
     "carpenter_finite",
 ]
 
-_PHASE_TOL = 1e-13
+_ANGLE_TOL = 1e-13  # largest miss of the angle equation, relative to hypot(h, |b|)
 _HERMITIAN_TOL = 1e-8  # largest |A - A*| entry a rotation or conjugation accepts
 
 
@@ -51,30 +51,20 @@ class SynthesisResult:
     unitary: np.ndarray
 
 
-def _mixing_phase(a01: complex, a10: complex) -> complex:
-    """Unimodular c with ``c*a01 + conj(c)*a10 = 0`` (Hermitian inputs)."""
-    if abs(a01) == 0.0 and abs(a10) == 0.0:
-        return 1.0 + 0.0j
-    primary = cmath.exp(1j * (math.pi / 2.0 - cmath.phase(a01)))
-    scale = max(1.0, abs(a01), abs(a10))
-    if abs(primary * a01 + primary.conjugate() * a10) <= _PHASE_TOL * scale:
-        return primary
-    # Safety net: scan a few unimodular candidates and keep the best.
-    candidates = [primary, -primary, 1.0 + 0.0j, 1.0j]
-    best = min(candidates, key=lambda c: abs(c * a01 + c.conjugate() * a10))
-    if abs(best * a01 + best.conjugate() * a10) > _PHASE_TOL * scale:
-        raise ValueError("could not balance off-diagonal phases; input not Hermitian?")
-    return best
-
-
 def _rotation_entries(a00, a01, a10, a11, t: float) -> tuple:
-    """Entries ``(g00, g01, g10, g11)`` of the Kadison rotation ``U`` of a 2x2 block ``A``.
+    """Entries ``(g00, g01, g10, g11)`` of the Kadison rotation ``G`` of a 2x2 block ``A``.
 
-    For Hermitian ``A``, ``diag(U A U*) = (t A00 + (1-t) A11, (1-t) A00 + t A11)``:
-    the angle solves ``sin(theta)^2 = t`` and the phase cancels the
-    off-diagonal contribution.  Works on Python scalars and checks ``t`` in
-    [0, 1], finite entries, Hermitian residual (imaginary diagonal parts
-    included) at most ``_HERMITIAN_TOL``, and balanced phases.
+    For Hermitian ``A``, ``diag(G A G*) = (t A00 + (1-t) A11, (1-t) A00 + t A11)``.
+    ``G = [[cos θ, w sin θ], [-conj(w) sin θ, cos θ]]`` is aligned with the
+    off-diagonal's own phase, ``w = b/|b|`` for ``b`` the mean of ``A01`` and
+    ``conj(A10)`` (``w = 1`` when ``b = 0``), and ``θ`` in ``[-π/2, 0]`` solves
+    ``h cos 2θ + |b| sin 2θ = (2t - 1) h`` with ``h = (A00 - A11)/2``; so a real
+    block gets a real rotation.  With ``b = 0`` this is the plain Givens
+    rotation ``cos θ = sqrt(t)``.  Works on Python scalars, scaling the block
+    first so that neither subnormal nor huge entries lose ``w`` or overflow,
+    and checks ``t`` in [0, 1], finite entries, Hermitian residual (imaginary
+    diagonal parts included) at most ``_HERMITIAN_TOL``, and that ``θ``
+    meets its equation to ``_ANGLE_TOL`` relative to ``hypot(h, |b|)``.
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"mixing weight must lie in [0, 1], got {t}")
@@ -85,11 +75,34 @@ def _rotation_entries(a00, a01, a10, a11, t: float) -> tuple:
     )
     if residual > _HERMITIAN_TOL:
         raise ValueError("a rotation requires a (numerically) Hermitian 2x2 block")
-    theta = math.asin(math.sqrt(t))
-    s = math.sin(theta)
-    co = math.cos(theta)
-    c = _mixing_phase(a01, a10)
-    return c * s, -co, c * co, s
+    b = a01 + 0.5 * (a10.conjugate() - a01)  # their mean; the residual check bounds the gap
+    h = 0.5 * a00.real - 0.5 * a11.real
+    # Work in units of the block's largest part, and take the phase of b from
+    # b over its own largest part, so that it stays unimodular however small
+    # or large b is.
+    big = max(abs(b.real), abs(b.imag))
+    scale = max(abs(h), big)
+    hs = h / scale if scale > 0.0 else 0.0
+    w, bs = 1.0, 0.0
+    if big > 0.0:
+        b /= big
+        w = b / abs(b)
+        bs = big / scale * abs(b)
+    if bs == 0.0:
+        # No off-diagonal coupling left at this scale: the Givens step cos θ = sqrt(t).
+        theta = math.asin(math.sqrt(t))
+        co, si = math.sin(theta), -math.cos(theta)
+    else:
+        # tan θ is the negative root of t h τ² - |b| τ - (1 - t) h = 0, taken
+        # in the form without cancellation for the sign of h.
+        root = bs + math.sqrt(bs * bs + 4.0 * t * (1.0 - t) * hs * hs)
+        x, y = (root, -2.0 * (1.0 - t) * hs) if hs >= 0.0 else (-2.0 * t * hs, -root)
+        norm = math.hypot(x, y)
+        co, si = x / norm, y / norm
+    miss = hs * (co * co - si * si) + 2.0 * bs * co * si - (2.0 * t - 1.0) * hs
+    if not abs(miss) <= _ANGLE_TOL * math.hypot(hs, bs):
+        raise ValueError(f"rotation angle misses its equation by {abs(miss):.3e}")
+    return co, w * si, -w.conjugate() * si, co
 
 
 def _rotate(a: np.ndarray, u: np.ndarray | None, j: int, k: int, t: float) -> None:

@@ -76,6 +76,23 @@ def test_feasibility_threshold_independent_here():
     assert max(defects) - min(defects) <= 1e-12
 
 
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
+@pytest.mark.parametrize("r", [1.0 - 2.0**-40, 1.0 - 2.0**-30], ids=["1-2^-40", "1-2^-30"])
+def test_feasibility_is_exact_for_slow_geometric_tails(r, alpha):
+    # c r / (1 - r) = 2^k - 1 is an integer, but the float side sums are near
+    # 2^k, where their spacing exceeds INTEGER_TOL: only the exact residue
+    # gives the same verdict at every threshold.
+    low, high = GeometricLow(1.0, r), GeometricHigh(1.0, r)
+    for tail in (low, high, Interleave(low, high), Interleave(high, low)):
+        report = feasibility(SequenceSpec((), tail), alpha)
+        assert report.feasibility is Feasibility.CASE_B, tail
+        assert report.defect == 0.0
+    for prefix in [(0.5,), (0.25, 0.5)]:
+        report = feasibility(SequenceSpec(prefix, Interleave(low, high)), alpha)
+        assert report.feasibility is Feasibility.INFEASIBLE
+        assert report.defect == min(sum(prefix) % 1, 1 - sum(prefix) % 1)
+
+
 def test_case_b_tower_frozen_first_step():
     tower = build_case_b(HALF_INTERLEAVE, depth=6)
     p1 = tower[0]
@@ -296,6 +313,37 @@ def test_case_a_benchmark_families_frozen(generator, certificate, depth, dim, la
     assert t.matrix.shape == (dim, dim)
     assert t.diagonal_map == tuple(range(1, dim + 1))
     assert t.covered == tuple(range(1, last_covered + 1))
+    assert verify_truncation(spec, t).ok
+
+
+SQRT = DivergentLow("0.495/sqrt(i)", Certificate("harmonic", 0.495))
+CONSTANT = DivergentLow("0.3", Certificate("constant", 0.3))
+NESTED_PREFIX = (0.9, 0.1, 0.6)
+
+
+@pytest.mark.parametrize(
+    "spec, alpha",
+    [
+        pytest.param(SequenceSpec((), SQRT), 0.5, id="bench-sqrt"),
+        pytest.param(SequenceSpec((), CONSTANT), 0.5, id="bench-constant"),
+        pytest.param(SequenceSpec((), DivergentLow("0.25+0.15/i", Certificate("constant", 0.25))),
+                     0.5, id="bench-harmonic-sum"),
+        # Specs whose Case-A builds at growing depth probe nested truncations.
+        pytest.param(SequenceSpec(NESTED_PREFIX, SQRT), 0.5, id="nested-sqrt"),
+        pytest.param(SequenceSpec(NESTED_PREFIX, CONSTANT), 0.5, id="nested-constant"),
+        pytest.param(SequenceSpec(NESTED_PREFIX, DivergentLow(
+            "0.3+0.2*sin(i)**2", Certificate("constant", 0.3))), 0.45, id="nested-sin-squared"),
+        pytest.param(SequenceSpec(NESTED_PREFIX, DivergentHigh(
+            "0.25+0.2*sin(i)", Certificate("constant", 0.05))), 0.5, id="nested-sin-high"),
+        pytest.param(SequenceSpec(NESTED_PREFIX, DivergentLow(
+            "0.2+0.1*(i%7)/7", Certificate("constant", 0.2))), 0.3, id="nested-period-7"),
+    ],
+)
+@pytest.mark.parametrize("depth", [3, 6])
+def test_case_a_builds_from_real_terms_are_real(spec, alpha, depth):
+    # The block repairs rotate real symmetric blocks, so the witness is real.
+    t = build_case_a(spec, alpha, depth)
+    assert np.all(t.matrix.imag == 0.0)
     assert verify_truncation(spec, t).ok
 
 

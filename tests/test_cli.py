@@ -149,6 +149,25 @@ def test_synth_exits_three_when_its_own_check_misses(
     assert pairs.keys() >= {"n", "hermitian_residual", "unitary_residual", "diagonal_error"}
 
 
+@pytest.mark.parametrize(
+    "shift, tol, code",
+    [(1e-6, "1e-9", 3), (1e-6, "5e-7", 3), (1e-6, "2e-6", 0)],  # max|d| = 1: bound = tol
+)
+def test_carpenter_exits_three_when_its_own_check_misses(
+    tmp_path, capsys, monkeypatch, shift, tol, code
+):
+    real = cli.carpenter_finite
+    monkeypatch.setattr(
+        cli, "carpenter_finite", lambda d, tol: real(d, tol) + shift * np.eye(len(d))
+    )
+    d = write_json(tmp_path / "d.json", {"values": [1.0, 0.5, 0.5]})
+    assert main(["carpenter", d, "--out", str(tmp_path / "p.json"), "--tol", tol]) == code
+    captured = capsys.readouterr()
+    pairs = dict(line.split("=", 1) for line in captured.out.splitlines())
+    assert float(pairs["diagonal_error"]) >= 1e-7  # printed either way
+    assert ("diagonal_error" in captured.err) == (code == 3)
+
+
 def test_majorize_false_exits_one(tmp_path, capsys):
     x = write_json(tmp_path / "x.json", {"values": [3.0, 1.0]})
     y = write_json(tmp_path / "y.json", {"values": [2.0, 2.0]})
@@ -367,6 +386,16 @@ def test_slow_geometric_tail_classifies(tmp_path, capsys):
     spec = write_json(tmp_path / "spec.json", {"prefix": [], "tail": tail})
     assert main(["obstruction", spec, "--alpha", "0.01"]) in (0, 1)
     assert _kv(capsys)["case"] in ("CaseB-feasible", "Infeasible")
+
+
+@pytest.mark.parametrize("alpha", ["0.3", "0.5", "0.7"])
+def test_slow_geometric_integer_total_is_feasible_at_every_threshold(tmp_path, capsys, alpha):
+    # r = 1 - 2^-40 and c = 1: the total is exactly 2^40 - 1.
+    tail = {"kind": "geometric-low", "c": 1.0, "r": 0.9999999999990905}
+    spec = write_json(tmp_path / "spec.json", {"prefix": [], "tail": tail})
+    assert main(["obstruction", spec, "--alpha", alpha]) == 0
+    pairs = _kv(capsys)
+    assert (pairs["case"], pairs["defect"]) == ("CaseB-feasible", "0")
 
 
 @pytest.mark.parametrize(

@@ -66,6 +66,64 @@ def test_kadison_rotation_validation():
         kadison_rotation(np.array([[0.0, 1.0], [0.0, 0.0]]), 0.5)
 
 
+_BIG = 1.7e308
+
+
+def _rotation_blocks(rng):
+    """Hermitian blocks ``[[a, b], [conj(b), d]]`` as ``(a, b, d)``: random real
+    (``b`` a float) and complex ones over six decades, then the edge cases."""
+    for _ in range(100):
+        a, d, br, bi = rng.normal(size=4) * 10.0 ** rng.integers(-3, 4, size=4)
+        yield float(a), float(br), float(d)
+        yield float(a), complex(br, bi), float(d)
+    yield from [
+        (0.5, 0.3, 0.5), (0.5, 0.3 - 0.4j, 0.5), (-2.0, 0.0, -2.0),  # a == d
+        (0.7, 0.0, -0.2), (-0.2, 0.0, 0.7), (0.7, 0.0j, -0.2),  # b == 0
+        (1.0, 1e-320, 0.0), (0.0, 5e-324 - 5e-324j, 1.0), (0.0, 1e-320j, 0.0),  # subnormal b
+        (_BIG, _BIG, -_BIG), (-_BIG, _BIG - _BIG * 1j, _BIG),  # near the float limit
+        (_BIG, -_BIG * 1j, _BIG), (_BIG, 1.0, -_BIG), (1.0, -_BIG, 0.0),
+    ]
+
+
+@pytest.mark.parametrize("t_kind", ["zero", "one", "random"])
+def test_rotation_rule_reaches_the_target_diagonal(t_kind):
+    rng = np.random.default_rng(311)
+    for a, b, d in _rotation_blocks(rng):
+        t = {"zero": 0.0, "one": 1.0, "random": float(rng.random())}[t_kind]
+        real = isinstance(b, float)
+        block = np.array([[a, b], [np.conj(b), d]], dtype=np.complex128)
+        g = kadison_rotation(block, t)
+        assert unitary_residual(g) <= 1e-12  # so the phase w stays unimodular
+        # Compare in units of the largest part, so that no product overflows.
+        scale = max(abs(a), abs(d), abs(block[0, 1].real), abs(block[0, 1].imag))
+        unit = block.real / scale + 1j * (block.imag / scale)
+        want = [t * unit[0, 0].real + (1 - t) * unit[1, 1].real,
+                (1 - t) * unit[0, 0].real + t * unit[1, 1].real]
+        got = np.diag(g @ unit @ g.conj().T)
+        assert np.max(np.abs(got.real - want)) <= 1e-14, (a, b, d, t)
+        if real:
+            assert np.all(g.imag == 0.0), (a, b, d, t)
+        if scale < 1e300:
+            step = block.copy()
+            _rotate(step, None, 0, 1, t)
+            assert np.max(np.abs(np.diag(step).real / scale - want)) <= 1e-14
+            if real:
+                assert np.all(step.imag == 0.0)
+
+
+def test_real_inputs_give_real_witnesses():
+    rng = np.random.default_rng(312)
+    for n in (2, 5, 16):
+        x, y = random_majorized_pair(rng, n)
+        res = synthesize_hermitian(x, y)
+        a = rng.normal(size=(n, n))
+        a += a.T
+        b, v = conjugate_to_diagonal(a, random_doubly_stochastic(rng, n) @ np.diag(a))
+        p = carpenter_finite(random_projection_diagonal(rng, n), tol=1e-6)
+        for m in (res.matrix, res.unitary, b, v, p):
+            assert np.all(m.imag == 0.0)
+
+
 def test_apply_t_transform_unitarily_moves_diagonal_only():
     # One in-place rotation on a dense Hermitian block, as in the Case-A repairs,
     # with the pair in either order.
