@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .linalg import INTEGER_TOL, STRUCTURAL_TOL, projection_entry_excess, projection_residual
-from .majorization import verify_concentration
+from .majorization import MajorizationError
 from .schur import InfeasibleDiagonalError, _mix_rows_to, carpenter_finite
 from .sequences import (
     BudgetExhaustedError,
@@ -60,7 +60,6 @@ __all__ = [
     "build_case_a",
     "projection_with_trace",
     "projection_with_cotrace",
-    "block_projection_from_partition",
     "projection_increment_norms",
     "verify_truncation",
 ]
@@ -340,19 +339,6 @@ def build_case_b(
     return [_complemented(p) for p in results] if complemented else results
 
 
-def block_projection_from_partition(blocks) -> np.ndarray:
-    """Direct sum of projections, one per diagonal block (integer block sums)."""
-    mats = [carpenter_finite(np.asarray(block, dtype=float)) for block in blocks]
-    n = sum(m.shape[0] for m in mats)
-    out = np.zeros((n, n), dtype=np.complex128)
-    at = 0
-    for m in mats:
-        d = m.shape[0]
-        out[at : at + d, at : at + d] = m
-        at += d
-    return out
-
-
 def build_case_a(
     spec: SequenceSpec,
     alpha: float = 0.5,
@@ -377,11 +363,13 @@ def build_case_a(
     next integer.  ``m`` is the largest of ``b_1`` and the window, which
     keeps every pushed-up entry at most 1.  The window's next-largest terms,
     until they sum to ``delta_k``, are the next head; the rest go back to
-    the pool.  Sorting
-    puts each tail above the next head, so unitaries acting across
-    consecutive blocks restore the pushed entries to their exact values;
-    only the final block's pushed-up tail stays perturbed, so no finite
-    residual bound is claimed (``residual_bound = inf``).
+    the pool.  Sorting puts each tail above the next head, so the exact
+    entries of two consecutive blocks are majorised by their pushed ones,
+    and a unitary acting across the two restores the exact values.  Its
+    rotation chain tests that majorisation exactly before the first
+    rotation; a failure raises ``RuntimeError``.  Only the final block's
+    pushed-up tail stays perturbed, so no finite residual bound is claimed
+    (``residual_bound = inf``).
 
     When neither side sum is ``inf`` the side is the one with more mass among
     the first ``_ORDER_SAMPLE`` terms.  The build reads at most ``budget``
@@ -476,19 +464,21 @@ def build_case_a(
         pool[:] = sorted(window[stop:])
 
     offsets = list(itertools.accumulate(map(len, blocks), initial=0))
-    matrix = block_projection_from_partition(
-        [[value for _, value, _ in block] for block in blocks]
-    )
+    matrix = np.zeros((offsets[-1], offsets[-1]), dtype=np.complex128)
+    for k, block in enumerate(blocks):
+        span = slice(offsets[k], offsets[k + 1])
+        matrix[span, span] = carpenter_finite(np.array([value for _, value, _ in block]))
     for k in range(len(blocks) - 1):
-        up_positions = [offsets[k] + p for p in up_parts[k]]
-        down_positions = [offsets[k + 1] + p for p in down_parts[k + 1]]
-        pushed_up = [blocks[k][p][1] for p in up_parts[k]]
-        exact_up = [blocks[k][p][2] for p in up_parts[k]]
-        pushed_down = [blocks[k + 1][p][1] for p in down_parts[k + 1]]
-        exact_down = [blocks[k + 1][p][2] for p in down_parts[k + 1]]
-        if not verify_concentration(exact_up, pushed_up, exact_down, pushed_down, tol=1e-8):
-            raise RuntimeError("block repair hypotheses failed; construction is inconsistent")
-        _mix_rows_to(matrix, up_positions + down_positions, exact_up + exact_down, _CHAIN_TOL)
+        rows = [offsets[k] + p for p in up_parts[k]]
+        rows += [offsets[k + 1] + p for p in down_parts[k + 1]]
+        exact = [blocks[k][p][2] for p in up_parts[k]]
+        exact += [blocks[k + 1][p][2] for p in down_parts[k + 1]]
+        try:
+            _mix_rows_to(matrix, rows, exact, _CHAIN_TOL)
+        except MajorizationError as exc:
+            raise RuntimeError(
+                "block repair hypotheses failed; construction is inconsistent"
+            ) from exc
 
     diagonal_map = [idx for block in blocks for idx, _, _ in block]
     uncovered = {blocks[-1][p][0] for p in up_parts[-1]}

@@ -12,7 +12,8 @@ Output is ``key=value`` lines by default, a two-line CSV with ``--csv``, or
 prose with ``--human``.  Exit codes: 0 success, 1 infeasible (including a
 failed verification or a non-majorised pair), 2 malformed input, 3 numerical
 failure (including a ``majorize --decompose``, ``synth`` or ``carpenter``
-whose own printed error exceeds ``--tol`` scaled by the input).
+whose own printed error exceeds ``--tol`` scaled by the input, and a built
+witness with a non-finite entry, which is never written).
 """
 
 from __future__ import annotations
@@ -88,6 +89,12 @@ def _check_errors(pairs, tol: float, scale) -> None:
             )
 
 
+def _check_finite(*witnesses) -> None:
+    """Raise ``RuntimeError`` (exit 3) on a non-finite witness entry; run before any save."""
+    if not all(np.isfinite(w).all() for w in witnesses):
+        raise RuntimeError("the built witness has a non-finite entry; nothing was written")
+
+
 def _emit(pairs, args) -> None:
     if getattr(args, "csv", False):
         print(",".join(key for key, _ in pairs))
@@ -122,6 +129,7 @@ def _cmd_synth(args) -> int:
     x = load_vector(args.diagonal)
     y = load_vector(args.spectrum)
     result = synthesize_hermitian(x, y, args.tol)
+    _check_finite(result.matrix, result.unitary)
     save_matrix(args.out, result.matrix)
     if args.unitary:
         save_matrix(args.unitary, result.unitary)
@@ -143,6 +151,7 @@ def _cmd_synth(args) -> int:
 def _cmd_carpenter(args) -> int:
     d = load_vector(args.diagonal)
     p = carpenter_finite(d, args.tol)
+    _check_finite(p)
     save_matrix(args.out, p)
     pairs = [
         ("n", d.size),
@@ -174,6 +183,7 @@ def _cmd_obstruction(args) -> int:
         else:
             depth = args.depth if args.depth is not None else 6
             proj = build_case_b(spec, args.alpha, depth, budget=args.budget, report=report)[-1]
+        _check_finite(proj.matrix)
         save_truncated_projection(args.build, proj)
         pairs += [
             ("depth", proj.depth),
@@ -187,6 +197,8 @@ def _cmd_obstruction(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.spec and (args.diagonal or args.spectrum):
+        raise ValueError("--spec checks a truncation; it takes no --diagonal or --spectrum")
     if args.spec:
         spec = load_sequence_spec(args.spec)
         truncated = load_truncated_projection(args.artifact)

@@ -53,12 +53,7 @@ __all__ = [
     "load_sequence_spec",
     "load_truncated_projection",
     "save_truncated_projection",
-    "matrix_from_obj",
-    "vector_from_obj",
-    "plan_from_obj",
     "spec_to_obj",
-    "spec_from_obj",
-    "truncated_projection_from_obj",
 ]
 
 
@@ -167,7 +162,7 @@ def _finite_floats(values, count: int, context: str) -> np.ndarray:
     return out
 
 
-def matrix_from_obj(obj) -> np.ndarray:
+def _matrix_from_obj(obj) -> np.ndarray:
     n = _require(obj, "n", int, "matrix")
     data = _require(obj, "data", list, "matrix")
     if n < 0 or len(data) != n * n:
@@ -189,15 +184,20 @@ def matrix_from_obj(obj) -> np.ndarray:
     return flat.view(np.complex128).reshape(n, n)
 
 
-def vector_from_obj(obj) -> np.ndarray:
-    values = _require(obj, "values", list, "vector")
+def load_matrix(path) -> np.ndarray:
+    return _matrix_from_obj(_read_json(path))
+
+
+def load_vector(path) -> np.ndarray:
+    values = _require(_read_json(path), "values", list, "vector")
     if not _all_numbers(values):
         pos = next(pos for pos, x in enumerate(values) if not _is_number(x))
         raise FormatError(f"vector: entry {pos} must be a number")
     return _finite_floats(values, len(values), "vector")
 
 
-def plan_from_obj(obj) -> TTransformPlan:
+def load_plan(path) -> TTransformPlan:
+    obj = _read_json(path)
     raw = _require(obj, "transforms", list, "plan")
     js, ks, ts = [], [], []
     for pos, entry in enumerate(raw):
@@ -258,7 +258,8 @@ def spec_to_obj(spec: SequenceSpec) -> dict:
     return {"prefix": list(spec.prefix), "tail": spec.tail.to_obj()}
 
 
-def spec_from_obj(obj) -> SequenceSpec:
+def load_sequence_spec(path) -> SequenceSpec:
+    obj = _read_json(path)
     prefix = _require(obj, "prefix", list, "sequence")
     for pos, x in enumerate(prefix):
         if not _is_number(x):
@@ -270,8 +271,9 @@ def spec_from_obj(obj) -> SequenceSpec:
         raise FormatError(f"sequence: {exc}") from exc
 
 
-def truncated_projection_from_obj(obj) -> TruncatedProjection:
-    matrix = matrix_from_obj(obj)
+def load_truncated_projection(path) -> TruncatedProjection:
+    obj = _read_json(path)
+    matrix = _matrix_from_obj(obj)
     depth = _require(obj, "depth", int, "truncated projection")
     covered = _require(obj, "covered", list, "truncated projection")
     bound = _require(obj, "residual_bound", float, "truncated projection")
@@ -291,20 +293,8 @@ def truncated_projection_from_obj(obj) -> TruncatedProjection:
     )
 
 
-def load_matrix(path) -> np.ndarray:
-    return matrix_from_obj(_read_json(path))
-
-
 def save_matrix(path, m) -> None:
     _write_text(path, _matrix_json(m, {}))
-
-
-def load_vector(path) -> np.ndarray:
-    return vector_from_obj(_read_json(path))
-
-
-def load_plan(path) -> TTransformPlan:
-    return plan_from_obj(_read_json(path))
 
 
 def save_plan(path, plan: TTransformPlan) -> None:
@@ -318,14 +308,6 @@ def save_plan(path, plan: TTransformPlan) -> None:
         "placement": [p + 1 for p in plan.placement],
     }
     _write_text(path, f'{{"transforms": [{transforms}], {json.dumps(orders)[1:]}')
-
-
-def load_sequence_spec(path) -> SequenceSpec:
-    return spec_from_obj(_read_json(path))
-
-
-def load_truncated_projection(path) -> TruncatedProjection:
-    return truncated_projection_from_obj(_read_json(path))
 
 
 def save_truncated_projection(path, t: TruncatedProjection) -> None:

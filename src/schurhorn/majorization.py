@@ -28,7 +28,6 @@ __all__ = [
     "majorizes_by_absolute_sums",
     "decompose_t_transforms",
     "replay_t_transform_plan",
-    "verify_concentration",
 ]
 
 
@@ -125,7 +124,7 @@ class TTransform(NamedTuple):
     Positions are 0-based.  Applied to ``v`` it sets
     ``v[j] = t*v[j] + (1-t)*v[k]`` and ``v[k] = (1-t)*v[j] + t*v[k]``.
     A step is a plain record: :func:`decompose_t_transforms` builds only
-    valid ones, and :func:`schurhorn.io.plan_from_obj` checks those it reads.
+    valid ones, and :func:`schurhorn.io.load_plan` checks those it reads.
     """
 
     j: int
@@ -234,27 +233,3 @@ def decompose_t_transforms(x, y, tol: float = 1e-9) -> TTransformPlan:
     return TTransformPlan(
         tuple(js), tuple(ks), tuple(ts), tuple(source_order.tolist()), tuple(placement)
     )
-
-
-def verify_concentration(x, x_up, y, y_down, tol: float = 1e-9) -> bool:
-    """Check the hypotheses of the concentration comparison.
-
-    Given blocks with ``x_up >= x`` entrywise, ``y_down <= y`` entrywise,
-    every entry of ``x`` at least every entry of ``y``, and matching grand
-    totals, the concatenation (x, y) is majorised by (x_up, y_down).  Returns
-    whether all four hypotheses hold within ``tol``.
-    """
-    x = as_vector(x)
-    xu = as_vector(x_up)
-    y = as_vector(y)
-    yd = as_vector(y_down)
-    if x.shape != xu.shape or y.shape != yd.shape:
-        raise ValueError("blocks must match pairwise in length")
-    if x.size and np.any(xu < x - tol):
-        return False
-    if y.size and np.any(y < yd - tol):
-        return False
-    if x.size and y.size and float(x.min()) < float(y.max()) - tol:
-        return False
-    total_gap = abs(float(xu.sum() + yd.sum() - x.sum() - y.sum()))
-    return total_gap <= tol

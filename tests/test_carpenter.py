@@ -22,7 +22,6 @@ from schurhorn import (
     SequenceSpec,
     TailCertificateError,
     ZeroTail,
-    block_projection_from_partition,
     build_case_a,
     build_case_b,
     feasibility,
@@ -185,15 +184,6 @@ def test_case_b_rejections():
     assert exc.value.defect == pytest.approx(0.5)
     with pytest.raises(BudgetExhaustedError):
         build_case_b(HALF_INTERLEAVE, depth=8, budget=2)
-
-
-def test_block_projection_from_partition():
-    p = block_projection_from_partition([[0.5, 0.5], [1.0]])
-    assert projection_residual(p) <= 1e-12
-    assert np.max(np.abs(p[:2, 2])) == 0.0
-    assert p[2, 2].real == 1.0
-    with pytest.raises(InfeasibleDiagonalError):
-        block_projection_from_partition([[0.5, 0.25]])
 
 
 def test_case_a_constant_half_frozen():

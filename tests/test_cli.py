@@ -2,6 +2,7 @@
 
 import json
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -306,6 +307,55 @@ def test_obstruction_build_computes_feasibility_once(tmp_path, capsys, monkeypat
     assert len(calls) == 1
 
 
+def test_failed_case_a_repair_exits_three_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    def fail(*args):
+        raise MajorizationError("x is not majorised by y")
+
+    monkeypatch.setattr(carpenter, "_mix_rows_to", fail)
+    spec = write_json(tmp_path / "spec.json", CONSTANT_HALF_SPEC)
+    out = tmp_path / "block.json"
+    assert main(["obstruction", spec, "--build", str(out)]) == 3
+    assert "block repair hypotheses failed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _with_nan(m):
+    return m + np.nan * np.eye(m.shape[0])
+
+
+@pytest.mark.parametrize("command", ["synth", "synth-unitary", "carpenter", "obstruction"])
+def test_non_finite_witness_exits_three_and_writes_nothing(
+    tmp_path, capsys, monkeypatch, command
+):
+    d = write_json(tmp_path / "d.json", {"values": [1.0, 0.5, 0.5]})
+    out, unitary = tmp_path / "out.json", tmp_path / "u.json"
+    if command.startswith("synth"):
+        real = cli.synthesize_hermitian
+
+        def broken(x, y, tol):
+            res = real(x, y, tol)
+            if command == "synth":
+                return type(res)(_with_nan(res.matrix), res.unitary)
+            return type(res)(res.matrix, _with_nan(res.unitary))
+
+        monkeypatch.setattr(cli, "synthesize_hermitian", broken)
+        s = write_json(tmp_path / "s.json", {"values": [1.0, 1.0, 0.0]})
+        argv = ["synth", d, s, "--out", str(out), "--unitary", str(unitary)]
+    elif command == "carpenter":
+        real = cli.carpenter_finite
+        monkeypatch.setattr(cli, "carpenter_finite", lambda d, tol: _with_nan(real(d, tol)))
+        argv = ["carpenter", d, "--out", str(out)]
+    else:
+        real = cli.build_case_b
+        monkeypatch.setattr(cli, "build_case_b", lambda *args, **kwargs: [
+            replace(p, matrix=_with_nan(p.matrix)) for p in real(*args, **kwargs)])
+        spec = write_json(tmp_path / "spec.json", INTERLEAVE_SPEC)
+        argv = ["obstruction", spec, "--build", str(out)]
+    assert main(argv) == 3
+    assert "non-finite" in capsys.readouterr().err
+    assert not out.exists() and not unitary.exists()
+
+
 def test_obstruction_infeasible_exits_one(tmp_path, capsys):
     spec = write_json(
         tmp_path / "spec.json",
@@ -340,6 +390,20 @@ def test_verify_failure_exits_one(tmp_path, capsys):
     pairs = _kv(capsys)
     assert pairs["diagonal_error"] == "inf"
     assert pairs["ok"] == "false"
+
+
+def test_verify_spec_rejects_diagonal_and_spectrum(tmp_path, capsys):
+    spec = write_json(tmp_path / "spec.json", INTERLEAVE_SPEC)
+    tower = tmp_path / "tower.json"
+    assert main(["obstruction", spec, "--build", str(tower)]) == 0
+    capsys.readouterr()
+    missing = [str(tmp_path / "no-such-file.json"), str(tmp_path / "also-missing.json")]
+    for extra in (["--diagonal", missing[0]], ["--spectrum", missing[1]],
+                  ["--diagonal", missing[0], "--spectrum", missing[1]]):
+        assert main(["verify", str(tower), "--spec", spec, *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_malformed_inputs_exit_two(tmp_path, capsys):

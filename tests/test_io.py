@@ -26,17 +26,12 @@ from schurhorn import (
     load_sequence_spec,
     load_truncated_projection,
     load_vector,
-    matrix_from_obj,
-    plan_from_obj,
     replay_t_transform_plan,
     save_matrix,
     save_plan,
     save_truncated_projection,
-    spec_from_obj,
     spec_to_obj,
     term,
-    truncated_projection_from_obj,
-    vector_from_obj,
 )
 
 from conftest import (
@@ -78,6 +73,11 @@ def truncated_projection_to_obj(t) -> dict:
     }
 
 
+def _load(loader, tmp_path, obj):
+    """``loader`` run on a file holding ``obj`` as JSON text."""
+    return loader(write_json(tmp_path / "in.json", obj))
+
+
 def test_matrix_round_trip(tmp_path):
     rng = np.random.default_rng(401)
     extremes = random_hermitian(rng, 5)
@@ -108,14 +108,14 @@ def test_matrix_writer_spells_non_finite_entries_as_json_does(tmp_path):
 
 
 def test_matrix_malformed(tmp_path):
-    with pytest.raises(FormatError):
-        matrix_from_obj({"n": 2, "data": [[0.0, 0.0]] * 3})
-    with pytest.raises(FormatError):
-        matrix_from_obj({"data": [[0.0, 0.0]]})
-    with pytest.raises(FormatError):
-        matrix_from_obj({"n": 1, "data": [[True, 0.0]]})
-    with pytest.raises(FormatError):
-        matrix_from_obj({"n": 1, "data": [[0.0]]})
+    for obj in (
+        {"n": 2, "data": [[0.0, 0.0]] * 3},
+        {"data": [[0.0, 0.0]]},
+        {"n": 1, "data": [[True, 0.0]]},
+        {"n": 1, "data": [[0.0]]},
+    ):
+        with pytest.raises(FormatError):
+            _load(load_matrix, tmp_path, obj)
     with pytest.raises(FormatError):
         save_matrix(tmp_path / "m.json", np.ones((2, 3)))
 
@@ -168,15 +168,18 @@ MATRIX_CASES = [
 
 
 @pytest.mark.parametrize("data", MATRIX_CASES)
-def test_matrix_codec_accepts_what_the_reference_accepts(data):
-    obj = {"n": 1, "data": data}
+def test_matrix_codec_accepts_what_the_reference_accepts(tmp_path, data):
+    # A file holds lists and plain numbers, so a tuple or numpy scalar is
+    # written as the list or number it holds; the reference reads the file too.
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"n": 1, "data": data}, default=lambda v: v.item()))
     try:
-        want = _reference_matrix_from_obj(obj)
+        want = _reference_matrix_from_obj(json.loads(path.read_text()))
     except FormatError:
         with pytest.raises(FormatError):
-            matrix_from_obj(obj)
+            load_matrix(path)
         return
-    got = matrix_from_obj(obj)
+    got = load_matrix(path)
     assert got.dtype == np.complex128
     assert got.tobytes() == want.tobytes()
 
@@ -214,9 +217,9 @@ def test_vector_round_trip(tmp_path):
     write_json(path, {"values": v.tolist()})
     assert np.all(load_vector(path) == v)
     with pytest.raises(FormatError):
-        vector_from_obj({"values": [1.0, "x"]})
+        _load(load_vector, tmp_path, {"values": [1.0, "x"]})
     with pytest.raises(FormatError):
-        vector_from_obj({})
+        _load(load_vector, tmp_path, {})
 
 
 def test_plan_round_trip(tmp_path):
@@ -246,17 +249,16 @@ def test_plan_round_trip(tmp_path):
     )
 
 
-def test_plan_malformed():
-    with pytest.raises(FormatError):
-        plan_from_obj({"transforms": [{"j": 0, "k": 2, "t": 0.5}],
-                       "source_order": [1], "placement": [1]})
-    with pytest.raises(FormatError):
-        plan_from_obj({"transforms": [{"j": 1, "k": 2, "t": 1.5}],
-                       "source_order": [1, 2], "placement": [1, 2]})
-    with pytest.raises(FormatError):
-        plan_from_obj({"transforms": [], "source_order": [0], "placement": [1]})
-    with pytest.raises(FormatError):
-        plan_from_obj({"transforms": []})
+def test_plan_malformed(tmp_path):
+    for obj in (
+        {"transforms": [{"j": 0, "k": 2, "t": 0.5}], "source_order": [1], "placement": [1]},
+        {"transforms": [{"j": 1, "k": 2, "t": 1.5}], "source_order": [1, 2],
+         "placement": [1, 2]},
+        {"transforms": [], "source_order": [0], "placement": [1]},
+        {"transforms": []},
+    ):
+        with pytest.raises(FormatError):
+            _load(load_plan, tmp_path, obj)
 
 
 def _plan_obj(**changes):
@@ -301,10 +303,11 @@ def _step(**changes):
          "bool-source", "zero-source", "bool-placement", "zero-placement",
          "repeated-source", "short-placement", "repeated-placement"],
 )
-def test_plan_from_obj_rejects_malformed_steps_and_orders(obj):
-    assert plan_from_obj(_plan_obj()) == TTransformPlan((0,), (1,), (0.5,), (1, 0), (0, 1))
+def test_plan_from_obj_rejects_malformed_steps_and_orders(tmp_path, obj):
+    want = TTransformPlan((0,), (1,), (0.5,), (1, 0), (0, 1))
+    assert _load(load_plan, tmp_path, _plan_obj()) == want
     with pytest.raises(FormatError):
-        plan_from_obj(obj)
+        _load(load_plan, tmp_path, obj)
 
 
 def test_plan_round_trip_random_decompositions(tmp_path):
@@ -365,32 +368,25 @@ def test_sequence_spec_round_trip(tmp_path):
             assert term(back, i) == term(spec, i)
 
 
-def test_sequence_spec_malformed():
-    with pytest.raises(FormatError):
-        spec_from_obj({"prefix": [0.5], "tail": {"kind": "triangular"}})
-    with pytest.raises(FormatError):
-        spec_from_obj({"prefix": [2.0], "tail": {"kind": "zero"}})
-    with pytest.raises(FormatError):
-        spec_from_obj({"prefix": [0.5], "tail": {"kind": "geometric-low", "c": 1.0}})
-    with pytest.raises(FormatError):
-        spec_from_obj({"prefix": [0.5], "tail": {"kind": "geometric-low", "c": 1.0, "r": 2.0}})
-    with pytest.raises(FormatError):
-        spec_from_obj(
-            {"prefix": [], "tail": {"kind": "interleave", "parts": [{"kind": "zero"}]}}
-        )
-    with pytest.raises(FormatError):
-        spec_from_obj({"prefix": [True], "tail": {"kind": "zero"}})
-    with pytest.raises(FormatError):
-        spec_from_obj(
-            {
-                "prefix": [],
-                "tail": {
-                    "kind": "divergent-low",
-                    "generator": "0.6",
-                    "certificate": {"kind": "constant", "p": 0.5, "start": 1},
-                },
-            }
-        )
+def test_sequence_spec_malformed(tmp_path):
+    for obj in (
+        {"prefix": [0.5], "tail": {"kind": "triangular"}},
+        {"prefix": [2.0], "tail": {"kind": "zero"}},
+        {"prefix": [0.5], "tail": {"kind": "geometric-low", "c": 1.0}},
+        {"prefix": [0.5], "tail": {"kind": "geometric-low", "c": 1.0, "r": 2.0}},
+        {"prefix": [], "tail": {"kind": "interleave", "parts": [{"kind": "zero"}]}},
+        {"prefix": [True], "tail": {"kind": "zero"}},
+        {
+            "prefix": [],
+            "tail": {
+                "kind": "divergent-low",
+                "generator": "0.6",
+                "certificate": {"kind": "constant", "p": 0.5, "start": 1},
+            },
+        },
+    ):
+        with pytest.raises(FormatError):
+            _load(load_sequence_spec, tmp_path, obj)
 
 
 def test_truncated_projection_round_trip(tmp_path):
@@ -421,29 +417,19 @@ def test_truncated_projection_infinite_bound_round_trip(tmp_path):
     assert back.diagonal_map == t.diagonal_map
 
 
-def test_truncated_projection_malformed():
+def test_truncated_projection_malformed(tmp_path):
     spec = SequenceSpec((), Interleave(GeometricLow(0.5, 0.5), GeometricHigh(0.5, 0.5)))
     t = build_case_b(spec, depth=1)[0]
     obj = truncated_projection_to_obj(t)
-    assert truncated_projection_from_obj(json.loads(json.dumps(obj))).depth == 1
+    assert _load(load_truncated_projection, tmp_path, obj).depth == 1
 
-    bad = dict(obj)
-    bad["permutation"] = bad["permutation"][:-1]
-    with pytest.raises(FormatError):
-        truncated_projection_from_obj(bad)
-    bad = dict(obj)
-    bad["permutation"] = [0] * len(obj["permutation"])
-    with pytest.raises(FormatError):
-        truncated_projection_from_obj(bad)
-    bad = dict(obj)
-    bad["covered"] = [1, -2]
-    with pytest.raises(FormatError):
-        truncated_projection_from_obj(bad)
-    bad = dict(obj)
-    bad["depth"] = 0
-    with pytest.raises(FormatError):
-        truncated_projection_from_obj(bad)
-    bad = dict(obj)
-    del bad["residual_bound"]
-    with pytest.raises(FormatError):
-        truncated_projection_from_obj(bad)
+    bad_objs = [
+        obj | {"permutation": obj["permutation"][:-1]},
+        obj | {"permutation": [0] * len(obj["permutation"])},
+        obj | {"covered": [1, -2]},
+        obj | {"depth": 0},
+        {key: value for key, value in obj.items() if key != "residual_bound"},
+    ]
+    for bad in bad_objs:
+        with pytest.raises(FormatError):
+            _load(load_truncated_projection, tmp_path, bad)

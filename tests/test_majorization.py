@@ -14,7 +14,6 @@ from schurhorn import (
     majorizes,
     majorizes_by_absolute_sums,
     replay_t_transform_plan,
-    verify_concentration,
 )
 
 from conftest import (
@@ -261,38 +260,6 @@ def test_empty_vectors_majorise_each_other():
 def test_decompose_rejects_non_majorized():
     with pytest.raises(MajorizationError):
         decompose_t_transforms([3.0, 0.0], [2.0, 1.0])
-
-
-def test_verify_concentration_frozen():
-    assert verify_concentration([0.5, 0.6], [0.7, 0.6], [0.2, 0.1], [0.1, 0.0])
-    # raising a y entry above min(x) breaks the separation hypothesis
-    assert not verify_concentration([0.5, 0.6], [0.7, 0.6], [0.55, 0.1], [0.45, 0.0])
-    # total mismatch
-    assert not verify_concentration([0.5], [0.9], [0.2], [0.1])
-
-
-def test_verify_concentration_implies_majorization():
-    rng = np.random.default_rng(206)
-    hits = 0
-    while hits < 40:
-        nx, ny = int(rng.integers(1, 4)), int(rng.integers(1, 4))
-        x = rng.uniform(0.5, 1.0, nx)
-        y = rng.uniform(0.0, 0.5, ny)
-        bump = rng.uniform(0.0, 0.3, nx)
-        x_up = x + bump
-        y_down = y.copy()
-        need = float(bump.sum())
-        for i in range(ny):
-            take = min(need, y_down[i])
-            y_down[i] -= take
-            need -= take
-        if need > 1e-12:
-            continue
-        assert verify_concentration(x, x_up, y, y_down)
-        assert majorizes_oracle(
-            np.concatenate([x, y]), np.concatenate([x_up, y_down]), tol=1e-8
-        )
-        hits += 1
 
 
 def test_majorization_respects_convex_order():
