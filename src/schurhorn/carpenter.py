@@ -35,16 +35,9 @@ from .majorization import MajorizationError
 from .schur import InfeasibleDiagonalError, _mix_rows_to, carpenter_finite
 from .sequences import (
     BudgetExhaustedError,
-    GeometricHigh,
-    GeometricLow,
-    Interleave,
-    OneTail,
     SequenceSpec,
     SideSums,
     TailCertificateError,
-    ZeroTail,
-    _add_counts,
-    _combine,
     complement,
     term,
 )
@@ -81,23 +74,24 @@ class Feasibility(enum.Enum):
 class KadisonReport:
     """Threshold sums and the feasibility verdict they imply.
 
-    ``low_sum`` / ``high_complement_sum`` are exact reals, ``inf`` for a
-    certified divergent side, or ``None`` when total divergence cannot be
-    attributed to a single side; ``low_count`` / ``high_count`` count each
-    side's positions likewise (see :class:`SideSums`).  ``defect`` is the
-    distance of the sums' difference from the nearest integer, computed
-    exactly (see :func:`feasibility`; ``None`` unless both are finite).
+    ``sums`` is the :func:`kadison_sums` split of the whole sequence at
+    ``alpha``; ``low_sum`` and ``high_complement_sum`` read its two sums.
+    ``defect`` is the exact distance of their difference from the nearest
+    integer (see :func:`feasibility`; ``None`` unless both are finite).
     """
 
     alpha: float
-    low_sum: float | None
-    high_complement_sum: float | None
-    low_mass_infinite: bool
-    high_mass_infinite: bool
-    low_count: float | None
-    high_count: float | None
+    sums: SideSums
     defect: float | None
     feasibility: Feasibility
+
+    @property
+    def low_sum(self) -> float | None:
+        return self.sums.low
+
+    @property
+    def high_complement_sum(self) -> float | None:
+        return self.sums.high
 
 
 def kadison_sums(spec: SequenceSpec, alpha: float = 0.5, *, budget: int = 100_000) -> SideSums:
@@ -107,40 +101,7 @@ def kadison_sums(spec: SequenceSpec, alpha: float = 0.5, *, budget: int = 100_00
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("threshold must lie strictly inside (0, 1)")
-    tail = spec.tail.side_sums(alpha, budget)
-    low = [v for v in spec.prefix if v <= alpha]
-    high = [1.0 - v for v in spec.prefix if v > alpha]
-    return SideSums(
-        _combine(sum(low), tail.low),
-        _combine(sum(high), tail.high),
-        tail.low_mass_infinite,
-        tail.high_mass_infinite,
-        _add_counts(len(low), tail.low_count),
-        _add_counts(len(high), tail.high_count),
-    )
-
-
-def _tail_ratio(rule) -> tuple[int, int]:
-    """``(p, q)`` with ``p / q`` the exact sum of a summable tail rule's terms,
-    a term ``v`` above the threshold counted as ``-(1 - v)``, the same mod 1.
-
-    Floats are dyadic rationals, so for ``c = nc/dc`` and ``r = nr/dr`` a
-    geometric part's ``c r / (1 - r)`` is exactly ``nc nr / (dc (dr - nr))``:
-    it adds for a geometric-low part and subtracts for a geometric-high one.
-    Zero and one tails add 0, and an interleave adds its parts.
-    """
-    if isinstance(rule, Interleave):
-        p1, q1 = _tail_ratio(rule.first)
-        p2, q2 = _tail_ratio(rule.second)
-        return p1 * q2 + p2 * q1, q1 * q2
-    if isinstance(rule, (GeometricLow, GeometricHigh)):
-        nc, dc = rule.c.as_integer_ratio()
-        nr, dr = rule.r.as_integer_ratio()
-        p = nc * nr
-        return (p if isinstance(rule, GeometricLow) else -p), dc * (dr - nr)
-    if isinstance(rule, (ZeroTail, OneTail)):
-        return 0, 1
-    raise TypeError(f"{rule.kind} tails have no closed-form sum")
+    return SideSums.of(spec.prefix, alpha) + spec.tail.side_sums(alpha, budget)
 
 
 def _integrality_defect(spec: SequenceSpec) -> float:
@@ -148,12 +109,12 @@ def _integrality_defect(spec: SequenceSpec) -> float:
 
     A term ``v`` adds ``v`` on the low side and ``-(1 - v)`` on the high
     side, the same mod 1, so ``a_f - b_f`` is the prefix sum plus the tail's
-    :func:`_tail_ratio`, mod 1, at every threshold.
+    ``residue()``, mod 1, at every threshold.
     """
     ratios = [v.as_integer_ratio() for v in spec.prefix]
     q = max((b for _, b in ratios), default=1)  # powers of two: the largest is their lcm
     p = sum(a * (q // b) for a, b in ratios)
-    tail_p, tail_q = _tail_ratio(spec.tail)
+    tail_p, tail_q = spec.tail.residue()
     num, den = p * tail_q + tail_p * q, q * tail_q
     rem = num % den
     return min(rem, den - rem) / den
@@ -174,15 +135,12 @@ def feasibility(
     ``alpha``.
     """
     sums = kadison_sums(spec, alpha, budget=budget)
-    low, high = sums.low, sums.high
     if sums.total_divergent:
-        verdict = Feasibility.CASE_A
-        defect = None
+        verdict, defect = Feasibility.CASE_A, None
     else:
         defect = _integrality_defect(spec)
         verdict = Feasibility.CASE_B if defect <= INTEGER_TOL else Feasibility.INFEASIBLE
-    return KadisonReport(alpha, low, high, sums.low_mass_infinite, sums.high_mass_infinite,
-                         sums.low_count, sums.high_count, defect, verdict)
+    return KadisonReport(alpha, sums, defect, verdict)
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,14 +196,16 @@ def build_case_b(
     When only the high side carries infinite mass the construction runs on
     the complemented sequence at ``1 - alpha`` and returns ``I - Q``.
     ``report``, when given, is ``feasibility(spec, alpha, budget=budget)``
-    already computed by the caller, and is used instead of a second scan.
-    Its side counts bound the terms each side yields; a ``None`` count raises
-    :class:`TailCertificateError` before any term is read.
+    computed by the caller at the same ``alpha`` (else ``ValueError``) and
+    spares a second scan.  Its side counts bound the terms each side yields;
+    a ``None`` count raises :class:`TailCertificateError` before any term is read.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
     if report is None:
         report = feasibility(spec, alpha, budget=budget)
+    elif report.alpha != alpha:
+        raise ValueError(f"the report is at alpha={report.alpha!r}, not {alpha!r}")
     if report.feasibility is Feasibility.CASE_A:
         raise ValueError("the threshold sums diverge; use build_case_a instead")
     if report.feasibility is Feasibility.INFEASIBLE:
@@ -253,19 +213,17 @@ def build_case_b(
             f"threshold sums differ by a non-integer (defect {report.defect:.3e})",
             defect=report.defect,
         )
-    complemented = False
+    sums = report.sums
     work_spec, work_alpha = spec, alpha
-    a_f, b_f = float(report.low_sum), float(report.high_complement_sum)
-    limits = (report.low_count, report.high_count)
-    if not report.low_mass_infinite and report.high_mass_infinite:
+    complemented = not sums.low_mass_infinite and sums.high_mass_infinite
+    if complemented:
         # Only the high side carries infinite mass: the residual ordering
         # mu < delta could not be sustained, so build for the complement.
-        complemented = True
         work_spec, work_alpha = complement(spec), 1.0 - alpha
         sums = kadison_sums(work_spec, work_alpha, budget=budget)
-        a_f, b_f = float(sums.low), float(sums.high)
-        limits = (sums.low_count, sums.high_count)
-    snap = 1e-13 * max(1.0, a_f, b_f)
+    totals = (float(sums.low), float(sums.high))  # a_f, b_f
+    limits = (sums.low_count, sums.high_count)
+    snap = 1e-13 * max(1.0, *totals)
 
     def residual(total: float, taken: float) -> float:
         left = total - taken
@@ -276,7 +234,6 @@ def build_case_b(
     if None in limits:
         raise TailCertificateError("tail rule cannot attribute positions to a side")
     sides = [_side_terms(work_spec, work_alpha, low, n) for low, n in zip((True, False), limits)]
-    totals = (a_f, b_f)
     taken = [0.0, 0.0]  # covered low mass, covered high complement mass
     pulls = 0
 
@@ -380,6 +337,8 @@ def build_case_a(
         raise ValueError("depth must be at least 2")
     if report is None:
         report = feasibility(spec, alpha, budget=budget)
+    elif report.alpha != alpha:
+        raise ValueError(f"the report is at alpha={report.alpha!r}, not {alpha!r}")
     if report.feasibility is not Feasibility.CASE_A:
         raise ValueError("the threshold sums are summable; use build_case_b instead")
 
@@ -388,8 +347,8 @@ def build_case_a(
         sample: list[float] = []
     else:
         sample = [term(spec, i) for i in range(1, min(_ORDER_SAMPLE, budget) + 1)]
-        mass_low = sum(v for v in sample if v <= alpha)
-        complemented = mass_low < sum(1.0 - v for v in sample if v > alpha)
+        head = SideSums.of(sample, alpha)
+        complemented = head.low < head.high
         if complemented:
             sample = []
     work_spec = complement(spec) if complemented else spec
@@ -508,9 +467,9 @@ def projection_with_trace(
     arithmetic).
     """
     report = feasibility(spec, 0.5, budget=budget)
-    if report.feasibility is Feasibility.CASE_A or report.high_count in (None, math.inf):
+    if report.feasibility is Feasibility.CASE_A or report.sums.high_count in (None, math.inf):
         raise ValueError("the sequence is not summable")
-    depth = max(1, math.ceil(math.log2(3.0 / _TRACE_TOL)), int(report.high_count))
+    depth = max(1, math.ceil(math.log2(3.0 / _TRACE_TOL)), int(report.sums.high_count))
     return build_case_b(spec, 0.5, depth, budget=budget, report=report)[-1]
 
 

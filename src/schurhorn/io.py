@@ -6,7 +6,8 @@ outside the float range, and JSON nested too deeply to parse.  Each file is
 compact JSON text as ``json.dumps`` writes it (default separators, one line,
 plus a newline).  The matrix, truncated-projection and plan writers build
 their text directly and format each distinct float once.  Vectors and
-sequences are only read here; :func:`spec_to_obj` gives a spec's object.
+sequences are only read: no command writes them.  This module is the one
+owner of each wire format; the in-memory types carry no encoders.
 Formats:
 
 * matrix: ``{"n": int, "data": [[re, im], ...]}`` with ``n**2`` row-major
@@ -53,7 +54,6 @@ __all__ = [
     "load_sequence_spec",
     "load_truncated_projection",
     "save_truncated_projection",
-    "spec_to_obj",
 ]
 
 
@@ -252,10 +252,6 @@ def _tail_from_obj(obj) -> TailRule:
         return cls(generator, cert)
     except ValueError as exc:
         raise FormatError(f"tail: {exc}") from exc
-
-
-def spec_to_obj(spec: SequenceSpec) -> dict:
-    return {"prefix": list(spec.prefix), "tail": spec.tail.to_obj()}
 
 
 def load_sequence_spec(path) -> SequenceSpec:

@@ -11,10 +11,12 @@ wire name ``kind``: ``term(i)`` is tail position ``i`` (1-based),
 ``complement()`` the rule of ``1 - term``,
 ``side_sums(alpha, budget)`` the :class:`SideSums` at a threshold
 (evaluating at most ``budget`` terms, else :class:`BudgetExhaustedError`)
-and ``to_obj()`` the wire form.  The split at a threshold is the one
-question a rule answers: :class:`SideSums` carries each side's sum and its
-number of positions, and ``SideSums.total_divergent`` is derived from the
-two side sums, not stored.
+and, for a summable rule, ``residue()`` the exact ``(p, q)`` with ``p / q``
+its terms' sum, a term ``v`` above any threshold counted as ``-(1 - v)``:
+``a - b`` mod 1.  The split at a threshold is the one question a rule
+answers: :class:`SideSums` carries each side's sum and its number of
+positions; ``SideSums.of`` splits finitely many values and ``+`` joins two
+splits.  The wire form of a spec lives in :mod:`schurhorn.io` alone.
 
 Indices are 1-based throughout: ``term(spec, 1)`` is the first entry.
 """
@@ -166,7 +168,7 @@ class Certificate:
 
 @dataclass(frozen=True)
 class SideSums:
-    """Tail contributions split at a threshold.
+    """The contributions of a set of positions split at a threshold.
 
     ``low`` sums the terms that are at most the threshold; ``high`` sums
     ``1 - term`` over the remaining ones.  Values are exact reals, ``inf``
@@ -189,15 +191,38 @@ class SideSums:
         """Whether the tail diverges: a side sum is ``inf`` or unattributed."""
         return any(s is None or s == math.inf for s in (self.low, self.high))
 
+    @classmethod
+    def of(cls, values, alpha: float) -> SideSums:
+        """The split of finitely many ``values`` at ``alpha``, each side summed in order from 0."""
+        low = high = 0.0
+        low_count = high_count = 0
+        for v in values:
+            if v <= alpha:
+                low += v
+                low_count += 1
+            else:
+                high += 1.0 - v
+                high_count += 1
+        return cls(low, high, False, False, low_count, high_count)
 
-def _add_counts(a: float | None, b: float | None) -> float | None:
-    """Sum of two side counts; an unattributed (``None``) count wins."""
-    return None if a is None or b is None else a + b
+    def __add__(self, other: SideSums) -> SideSums:
+        """The split of two disjoint position sets together: for a sum ``inf``
+        wins, then ``None``; for a count ``None`` wins, then ``inf``."""
 
+        def count(a, b):
+            return None if a is None or b is None else a + b
 
-def _combine(a: float | None, b: float | None) -> float | None:
-    """Sum of two side sums; ``inf`` wins, then an unattributed ``None``."""
-    return math.inf if math.inf in (a, b) else _add_counts(a, b)
+        def total(a, b):
+            return math.inf if math.inf in (a, b) else count(a, b)
+
+        return SideSums(
+            total(self.low, other.low),
+            total(self.high, other.high),
+            self.low_mass_infinite or other.low_mass_infinite,
+            self.high_mass_infinite or other.high_mass_infinite,
+            count(self.low_count, other.low_count),
+            count(self.high_count, other.high_count),
+        )
 
 
 def _geometric_split(c: float, r: float, bound: float, inclusive: bool):
@@ -240,8 +265,8 @@ class ZeroTail:
     def side_sums(self, alpha: float, budget: int = 100_000) -> SideSums:
         return SideSums(0.0, 0.0, False, False, math.inf, 0)
 
-    def to_obj(self) -> dict:
-        return {"kind": self.kind}
+    def residue(self) -> tuple[int, int]:
+        return 0, 1
 
 
 @dataclass(frozen=True)
@@ -259,13 +284,13 @@ class OneTail:
     def side_sums(self, alpha: float, budget: int = 100_000) -> SideSums:
         return SideSums(0.0, 0.0, False, False, 0, math.inf)
 
-    def to_obj(self) -> dict:
-        return {"kind": self.kind}
+    def residue(self) -> tuple[int, int]:
+        return 0, 1
 
 
 @dataclass(frozen=True)
 class _Geometric:
-    """Shared fields, validation and wire form of the two geometric rules."""
+    """Shared fields, validation and residue of the two geometric rules."""
 
     c: float
     r: float
@@ -278,14 +303,19 @@ class _Geometric:
         if not self.c * self.r <= 1.0 + _BOUNDARY_FUZZ:
             raise ValueError("first geometric term leaves [0, 1]")
 
-    def to_obj(self) -> dict:
-        return {"kind": self.kind, "c": self.c, "r": self.r}
+    def residue(self) -> tuple[int, int]:
+        """``c r / (1 - r)`` exactly, negated for the high rule: with ``c = nc/dc``
+        and ``r = nr/dr`` (floats are dyadic) it is ``nc nr / (dc (dr - nr))``."""
+        nc, dc = self.c.as_integer_ratio()
+        nr, dr = self.r.as_integer_ratio()
+        return self._sign * nc * nr, dc * (dr - nr)
 
 
 class GeometricLow(_Geometric):
     """Tail term i is ``c * r**i`` (decreasing to 0)."""
 
     kind = "geometric-low"
+    _sign = 1
 
     def term(self, i: int) -> float:
         return self.c * self.r**i
@@ -302,6 +332,7 @@ class GeometricHigh(_Geometric):
     """Tail term i is ``1 - c * r**i`` (increasing to 1)."""
 
     kind = "geometric-high"
+    _sign = -1
 
     def term(self, i: int) -> float:
         return 1.0 - self.c * self.r**i
@@ -332,31 +363,23 @@ class Interleave:
         return Interleave(self.first.complement(), self.second.complement())
 
     def side_sums(self, alpha: float, budget: int = 100_000) -> SideSums:
-        a = self.first.side_sums(alpha, budget)
-        b = self.second.side_sums(alpha, budget)
-        return SideSums(
-            _combine(a.low, b.low),
-            _combine(a.high, b.high),
-            a.low_mass_infinite or b.low_mass_infinite,
-            a.high_mass_infinite or b.high_mass_infinite,
-            _add_counts(a.low_count, b.low_count),
-            _add_counts(a.high_count, b.high_count),
-        )
+        return self.first.side_sums(alpha, budget) + self.second.side_sums(alpha, budget)
 
-    def to_obj(self) -> dict:
-        return {"kind": self.kind, "parts": [self.first.to_obj(), self.second.to_obj()]}
+    def residue(self) -> tuple[int, int]:
+        (p1, q1), (p2, q2) = self.first.residue(), self.second.residue()
+        return p1 * q2 + p2 * q1, q1 * q2
 
 
 @dataclass(frozen=True)
 class _Divergent:
-    """Shared fields, validation and wire form of the two divergent rules."""
+    """Shared fields and validation of the two divergent rules."""
 
     generator: str
     certificate: Certificate
 
     def __post_init__(self):
         # The compiled generator is kept outside the dataclass fields, so
-        # equality, hashing and the wire form see only the source text.
+        # equality, hashing and pickling see only the source text.
         object.__setattr__(self, "_fn", _compile_generator(self.generator))
         for i in _SAMPLE_INDICES:
             v = self._value(i)
@@ -392,20 +415,12 @@ class _Divergent:
             raise self._failed(i, exc) from exc
         return 0.0
 
-    def _head(self, budget: int) -> range:
-        """The indices below the certificate's start, at most ``budget`` of them."""
+    def _head(self, alpha: float, budget: int) -> SideSums:
+        """The split of the terms below the certificate's start, at most ``budget`` of them."""
         start = self.certificate.start
         if start - 1 > budget:
             raise BudgetExhaustedError(f"certificate start {start} needs more than {budget} terms")
-        return range(1, start)
-
-    def to_obj(self) -> dict:
-        cert = self.certificate
-        return {
-            "kind": self.kind,
-            "generator": self.generator,
-            "certificate": {"kind": cert.kind, "p": cert.p, "start": cert.start},
-        }
+        return SideSums.of(map(self.term, range(1, start)), alpha)
 
 
 class DivergentLow(_Divergent):
@@ -425,12 +440,7 @@ class DivergentLow(_Divergent):
             # Every term sits in [0, 1/2], hence on the low side.
             return SideSums(math.inf, 0.0, True, False, math.inf, 0)
         if cert.kind == "constant" and cert.p > alpha:
-            low = 0.0
-            for i in self._head(budget):
-                v = self.term(i)
-                if v <= alpha:
-                    low += v
-            return SideSums(low, math.inf, False, True, None, None)
+            return self._head(alpha, budget) + SideSums(0.0, math.inf, False, True, None, None)
         return SideSums(None, None, True, True, None, None)
 
 
@@ -451,12 +461,7 @@ class DivergentHigh(_Divergent):
             # Every term sits in [1/2, 1], hence strictly above alpha.
             return SideSums(0.0, math.inf, False, True, 0, math.inf)
         if cert.kind == "constant" and cert.p > 1.0 - alpha:
-            high = 0.0
-            for i in self._head(budget):
-                v = self.term(i)
-                if v > alpha:
-                    high += 1.0 - v
-            return SideSums(math.inf, high, True, False, None, None)
+            return self._head(alpha, budget) + SideSums(math.inf, 0.0, True, False, None, None)
         if alpha == 0.5 and all(self._value(i) < 0.5 - 1e-9 for i in _SAMPLE_INDICES):
             # Sampled generator stays below 1/2, so terms stay above alpha.
             return SideSums(0.0, math.inf, False, True, None, None)

@@ -70,7 +70,8 @@ def majorizes_oracle(x, y, tol: float = 1e-9) -> bool:
 def write_json(path, obj) -> str:
     """Write ``obj`` to ``path`` as JSON text, the way CLI inputs are given; return the path.
 
-    A vector is ``{"values": [...]}``; a sequence spec is ``spec_to_obj(spec)``.
+    A vector is ``{"values": [...]}``; a sequence spec is ``{"prefix": [...], "tail": {...}}``
+    as the README's File formats section gives it.
     """
     path.write_text(json.dumps(obj))
     return str(path)

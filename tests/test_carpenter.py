@@ -485,10 +485,29 @@ def test_case_b_unattributed_side_fails_before_any_term(monkeypatch):
     monkeypatch.setattr(carpenter, "term", lambda *args: seen.append(args) or real(*args))
     for side in ("low_count", "high_count"):
         with pytest.raises(TailCertificateError):
-            build_case_b(HALF_INTERLEAVE, depth=2, report=replace(report, **{side: None}))
+            forged = replace(report, sums=replace(report.sums, **{side: None}))
+            build_case_b(HALF_INTERLEAVE, depth=2, report=forged)
     assert seen == []
     assert build_case_b(HALF_INTERLEAVE, depth=2, report=report)[-1].covered == (1, 2, 3, 4, 6)
     assert seen
+
+
+def test_case_b_rejects_a_report_at_another_alpha():
+    spec = SequenceSpec((0.4, 0.6), HALF_INTERLEAVE.tail)
+    with pytest.raises(ValueError, match="alpha=0.5") as exc:
+        build_case_b(spec, 0.3, 5, report=feasibility(spec, 0.5))
+    assert type(exc.value) is ValueError
+    tower = build_case_b(spec, 0.3, 5, report=feasibility(spec, 0.3))
+    assert verify_truncation(spec, tower[-1]).ok
+
+
+def test_case_a_rejects_a_report_at_another_alpha():
+    spec = SequenceSpec((), DivergentLow("0.4", Certificate("constant", 0.4)))
+    with pytest.raises(ValueError, match="alpha=0.5") as exc:
+        build_case_a(spec, 0.3, report=feasibility(spec, 0.5))
+    assert type(exc.value) is ValueError
+    built = build_case_a(spec, 0.3, report=feasibility(spec, 0.3))
+    assert verify_truncation(spec, built).ok
 
 
 def test_projection_with_cotrace_example():

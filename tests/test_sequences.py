@@ -160,6 +160,23 @@ def test_interleave_side_sums_combine():
     assert not s.total_divergent
 
 
+def test_side_sums_join_precedence():
+    # A side sum: inf beats an unattributed None.  A side count: None beats inf.
+    harmonic = DivergentLow("0.5/i", Certificate("harmonic", 0.5))  # unattributed at 1/4
+    high = DivergentHigh("0.4", Certificate("constant", 0.4))  # every term high: high sum inf
+    s = Interleave(harmonic, high).side_sums(0.25)
+    assert s.low is None and s.high == math.inf
+    assert (s.low_count, s.high_count) == (None, None)
+
+
+def test_residue_frozen():
+    assert GeometricLow(0.5, 0.5).residue() == (1, 2)
+    assert GeometricHigh(0.5, 0.5).residue() == (-1, 2)
+    assert ZeroTail().residue() == OneTail().residue() == (0, 1)
+    p, q = Interleave(GeometricLow(0.5, 0.5), GeometricHigh(0.5, 0.5)).residue()
+    assert p == 0 and q > 0  # the paper's half interleave: a_f - b_f is an integer
+
+
 def test_trivial_tails_side_sums():
     for tail in (ZeroTail(), OneTail()):
         s = tail.side_sums(0.3)
@@ -374,8 +391,7 @@ def test_generator_whitelist_rejects(generator):
 def test_compiled_generator_stays_out_of_equality_and_wire_form():
     a = DivergentLow("0.5/sqrt(i)", Certificate("harmonic", 0.5))
     b = DivergentLow("0.5/sqrt(i)", Certificate("harmonic", 0.5))
-    assert a == b and hash(a) == hash(b) and a.to_obj() == b.to_obj()
-    assert set(a.to_obj()) == {"kind", "generator", "certificate"}
+    assert a == b and hash(a) == hash(b)
     copy = pickle.loads(pickle.dumps(a))
     assert copy == a and copy.term(9) == a.term(9)
 
