@@ -168,11 +168,30 @@ def _complemented(p: TruncatedProjection) -> TruncatedProjection:
     return replace(p, matrix=np.eye(p.matrix.shape[0], dtype=np.complex128) - p.matrix)
 
 
-def _side_terms(spec: SequenceSpec, alpha: float, low: bool, count: float):
-    """The ``(index, value)`` pairs of the first ``count`` positions on one
-    side of ``alpha`` (the low side when ``low``), in increasing index order."""
-    side = ((i, v) for i in itertools.count(1) if ((v := term(spec, i)) <= alpha) == low)
-    return itertools.islice(side, None if count == math.inf else int(count))
+class _Reader:
+    """The working sequence read once, in index order, and split at ``alpha``.
+
+    ``queues[0]`` holds the read low-side terms, ``floor < v <= alpha``, and
+    ``queues[1]`` the others, as ``(index, value)`` pairs in index order.
+    Position ``i`` comes from ``sample`` while it lasts.  Every read counts
+    against ``budget``; a read past it raises :class:`BudgetExhaustedError`.
+    """
+
+    def __init__(self, spec: SequenceSpec, alpha: float, floor: float, budget: int, sample=()):
+        self.spec, self.alpha, self.floor, self.sample = spec, alpha, floor, sample
+        self.budget, self.reads = budget, 0
+        self.queues: tuple[deque, deque] = (deque(), deque())
+
+    def next(self, side: int) -> tuple[int, float]:
+        """Serve the first unserved term of ``side`` (0 low), reading on until there is one."""
+        queue = self.queues[side]
+        while not queue:
+            if self.reads >= self.budget:
+                raise BudgetExhaustedError(f"more than {self.budget} terms consumed")
+            i = self.reads = self.reads + 1
+            v = self.sample[i - 1] if i <= len(self.sample) else term(self.spec, i)
+            self.queues[not self.floor < v <= self.alpha].append((i, v))
+        return queue.popleft()
 
 
 def build_case_b(
@@ -199,6 +218,8 @@ def build_case_b(
     computed by the caller at the same ``alpha`` (else ``ValueError``) and
     spares a second scan.  Its side counts bound the terms each side yields;
     a ``None`` count raises :class:`TailCertificateError` before any term is read.
+    One pass in index order serves both sides: the build reads each term
+    once, and at most ``budget`` terms, else :class:`BudgetExhaustedError`.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
@@ -222,7 +243,7 @@ def build_case_b(
         work_spec, work_alpha = complement(spec), 1.0 - alpha
         sums = kadison_sums(work_spec, work_alpha, budget=budget)
     totals = (float(sums.low), float(sums.high))  # a_f, b_f
-    limits = (sums.low_count, sums.high_count)
+    limits = [sums.low_count, sums.high_count]  # terms each side may still yield
     snap = 1e-13 * max(1.0, *totals)
 
     def residual(total: float, taken: float) -> float:
@@ -233,20 +254,17 @@ def build_case_b(
     # before any term is pulled, so an unattributable side fails first.
     if None in limits:
         raise TailCertificateError("tail rule cannot attribute positions to a side")
-    sides = [_side_terms(work_spec, work_alpha, low, n) for low, n in zip((True, False), limits)]
+    reader = _Reader(work_spec, work_alpha, -math.inf, budget)
     taken = [0.0, 0.0]  # covered low mass, covered high complement mass
-    pulls = 0
 
     def pull(side: int, short) -> tuple[list[tuple[int, float]], float]:
         """Pull one term of ``side`` if any remain, then more while ``short``
         holds for its uncovered mass; return the new terms and that mass."""
-        nonlocal pulls
         pulled = []
         left = residual(totals[side], taken[side])
-        for i, v in sides[side]:
-            pulls += 1
-            if pulls > budget:
-                raise BudgetExhaustedError(f"more than {budget} terms consumed")
+        while limits[side] > 0:
+            i, v = reader.next(side)
+            limits[side] -= 1
             pulled.append((i, v))
             taken[side] += 1.0 - v if side else v
             left = residual(totals[side], taken[side])
@@ -329,9 +347,9 @@ def build_case_a(
     (``residual_bound = inf``).
 
     When neither side sum is ``inf`` the side is the one with more mass among
-    the first ``_ORDER_SAMPLE`` terms.  The build reads at most ``budget``
-    terms, else :class:`BudgetExhaustedError`.  ``report`` is as for
-    :func:`build_case_b`.
+    the first ``_ORDER_SAMPLE`` terms, reused when the low side wins.  A
+    build reads at most ``budget`` terms of its working sequence, each once,
+    else :class:`BudgetExhaustedError`.  ``report`` is as for :func:`build_case_b`.
     """
     if depth < 2:
         raise ValueError("depth must be at least 2")
@@ -352,29 +370,14 @@ def build_case_a(
         if complemented:
             sample = []
     work_spec = complement(spec) if complemented else spec
-    work_alpha = 1.0 - alpha if complemented else alpha
-    queue: deque[tuple[int, float]] = deque()
-
-    def low_side():
-        """Yield the low-side ``(index, value)`` terms of the working sequence
-        and queue the others; a term comes from the side sample while it lasts."""
-        for i in itertools.count(1):
-            if i > budget:
-                raise BudgetExhaustedError(f"more than {budget} terms consumed")
-            v = sample[i - 1] if i <= len(sample) else term(work_spec, i)
-            if 1e-12 < v <= work_alpha:
-                yield i, v
-            else:
-                queue.append((i, v))
-
-    stream = low_side()
+    reader = _Reader(work_spec, 1.0 - alpha if complemented else alpha, 1e-12, budget, sample)
     pool: list[tuple[int, float]] = []  # low-side terms read but not placed, in index order
 
     def grow(mass: float) -> None:
-        """Move stream terms into the pool until they add at least ``mass``."""
+        """Move low-side terms into the pool until they add at least ``mass``."""
         added = 0.0
         while added < mass:
-            pool.append(next(stream))
+            pool.append(reader.next(0))
             added += pool[-1][1]
 
     def reach(window, start: int, bound: float) -> tuple[int, float]:
@@ -386,19 +389,18 @@ def build_case_a(
             end += 1
         return end, total
 
-    # Per block: entries as (index, built value, exact value), plus the spans
-    # of pushed-down and pushed-up positions for the repair step.
+    # Per block: entries as (index, built value, exact value), pushed-down
+    # head first and pushed-up tail last, and the (head, tail) lengths.
     blocks: list[list[tuple[int, float, float]]] = []
-    down_parts: list[list[int]] = []  # local positions pushed down, per block
-    up_parts: list[list[int]] = []  # local positions pushed up, per block
+    spans: list[tuple[int, int]] = []
     head: list[tuple[int, float]] = []
     head_total = delta = b1 = 0.0
     grow(1.0)
     for k in range(1, depth + 1):
         entries = [(idx, v - (v / head_total) * delta, v) for idx, v in head]
         running = head_total - delta
-        if k > 1 and queue:
-            idx, v = queue.popleft()
+        if k > 1 and reader.queues[1]:  # an untouched term off the low side
+            idx, v = reader.queues[1].popleft()
             entries.append((idx, v, v))
             running += v
         while True:
@@ -415,8 +417,7 @@ def build_case_a(
             if tail_total >= bound and next_total >= need:
                 break
             grow(max(bound - tail_total, 0.0) + need - next_total)
-        down_parts.append(list(range(len(head))))
-        up_parts.append(list(range(len(entries), len(entries) + cut)))
+        spans.append((len(head), cut))
         entries += [(idx, v + (v / tail_total) * next_delta, v) for idx, v in window[:cut]]
         blocks.append(entries)
         head, head_total, delta = window[cut:stop], next_total, next_delta
@@ -427,21 +428,19 @@ def build_case_a(
     for k, block in enumerate(blocks):
         span = slice(offsets[k], offsets[k + 1])
         matrix[span, span] = carpenter_finite(np.array([value for _, value, _ in block]))
+    exact = [v for block in blocks for _, _, v in block]
     for k in range(len(blocks) - 1):
-        rows = [offsets[k] + p for p in up_parts[k]]
-        rows += [offsets[k + 1] + p for p in down_parts[k + 1]]
-        exact = [blocks[k][p][2] for p in up_parts[k]]
-        exact += [blocks[k + 1][p][2] for p in down_parts[k + 1]]
+        # Block k's pushed-up tail ends where block k + 1's pushed-down head starts.
+        rows = range(offsets[k + 1] - spans[k][1], offsets[k + 1] + spans[k + 1][0])
         try:
-            _mix_rows_to(matrix, rows, exact, _CHAIN_TOL)
+            _mix_rows_to(matrix, rows, [exact[p] for p in rows], _CHAIN_TOL)
         except MajorizationError as exc:
             raise RuntimeError(
                 "block repair hypotheses failed; construction is inconsistent"
             ) from exc
 
     diagonal_map = [idx for block in blocks for idx, _, _ in block]
-    uncovered = {blocks[-1][p][0] for p in up_parts[-1]}
-    covered = tuple(sorted(set(diagonal_map) - uncovered))
+    covered = tuple(sorted(diagonal_map[: offsets[-1] - spans[-1][1]]))  # all but the last tail
     result = TruncatedProjection(
         matrix=matrix,
         depth=depth,

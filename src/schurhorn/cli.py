@@ -10,16 +10,18 @@ Subcommands::
 
 Output is ``key=value`` lines by default, a two-line CSV with ``--csv``, or
 prose with ``--human``.  Exit codes: 0 success, 1 infeasible (including a
-failed verification or a non-majorised pair), 2 malformed input, 3 numerical
-failure (including a ``majorize --decompose``, ``synth`` or ``carpenter``
-whose own printed error exceeds ``--tol`` scaled by the input, and a built
-witness with a non-finite entry, which is never written).
+failed verification or a non-majorised pair), 2 malformed input (including a
+``--tol`` that is not finite and non-negative, or a negative ``--budget``),
+3 numerical failure (including a ``majorize --decompose``, ``synth`` or
+``carpenter`` whose own printed error exceeds ``--tol`` scaled by the input,
+and a built witness with a non-finite entry, which is never written).
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 
 import numpy as np
@@ -93,6 +95,16 @@ def _check_finite(*witnesses) -> None:
     """Raise ``RuntimeError`` (exit 3) on a non-finite witness entry; run before any save."""
     if not all(np.isfinite(w).all() for w in witnesses):
         raise RuntimeError("the built witness has a non-finite entry; nothing was written")
+
+
+def _check_options(args) -> None:
+    """Raise ``ValueError`` (exit 2) on a ``--tol`` that is not finite and
+    non-negative or on a negative ``--budget``; run before any file is touched."""
+    tol = getattr(args, "tol", 0.0)
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"--tol must be finite and non-negative, not {tol!r}")
+    if getattr(args, "budget", 0) < 0:
+        raise ValueError(f"--budget must be non-negative, not {args.budget}")
 
 
 def _emit(pairs, args) -> None:
@@ -307,6 +319,7 @@ def main(argv=None) -> int:
     """Run one subcommand and return its exit code; safe to call repeatedly."""
     args = _build_parser().parse_args(argv)
     try:
+        _check_options(args)
         return globals()[f"_cmd_{args.command}"](args)
     except tuple(cls for cls, _ in _EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)

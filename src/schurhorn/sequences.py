@@ -382,7 +382,10 @@ class _Divergent:
         # equality, hashing and pickling see only the source text.
         object.__setattr__(self, "_fn", _compile_generator(self.generator))
         for i in _SAMPLE_INDICES:
-            v = self._value(i)
+            try:
+                v = float(self._fn(float(i)))
+            except _GEN_ERRORS as exc:
+                raise self._failed(i, exc) from exc
             if not -_BOUNDARY_FUZZ <= v <= 0.5 + _BOUNDARY_FUZZ:
                 raise TailCertificateError(
                     f"{self.kind} generator must stay in [0, 1/2]; got {v!r} at i={i}"
@@ -397,13 +400,6 @@ class _Divergent:
 
     def _failed(self, i: int, exc: Exception) -> TailCertificateError:
         return TailCertificateError(f"generator {self.generator!r} failed at i={i}: {exc}")
-
-    def _value(self, i: int) -> float:
-        """The unclamped generator value at ``i``, passed to it as a float."""
-        try:
-            return float(self._fn(float(i)))
-        except _GEN_ERRORS as exc:
-            raise self._failed(i, exc) from exc
 
     def _g(self, i: int) -> float:
         """The generator value at float ``i`` clamped to [0, 1/2]; NaN and -0.0 give +0.0."""
@@ -462,9 +458,6 @@ class DivergentHigh(_Divergent):
             return SideSums(0.0, math.inf, False, True, 0, math.inf)
         if cert.kind == "constant" and cert.p > 1.0 - alpha:
             return self._head(alpha, budget) + SideSums(math.inf, 0.0, True, False, None, None)
-        if alpha == 0.5 and all(self._value(i) < 0.5 - 1e-9 for i in _SAMPLE_INDICES):
-            # Sampled generator stays below 1/2, so terms stay above alpha.
-            return SideSums(0.0, math.inf, False, True, None, None)
         return SideSums(None, None, True, True, None, None)
 
 TailRule = Union[

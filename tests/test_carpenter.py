@@ -558,14 +558,22 @@ def test_builds_reuse_the_reported_side_sums(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "spec, alpha",
+    "build, spec, alpha, depth",
     [
-        (CONSTANT_HALF, 0.5),  # low side infinite: no order sample
-        (SequenceSpec((), DivergentLow("0.4/sqrt(i)", Certificate("harmonic", 0.4))), 0.3),
+        (build_case_a, CONSTANT_HALF, 0.5, 3),  # low side infinite: no order sample
+        (
+            build_case_a,
+            SequenceSpec((), DivergentLow("0.4/sqrt(i)", Certificate("harmonic", 0.4))),
+            0.3,
+            3,
+        ),
+        (build_case_b, HALF_INTERLEAVE, 0.5, 6),
+        # high-only: built on the complement, with terms on both of its sides
+        (build_case_b, SequenceSpec((0.25, 0.25), GeometricHigh(0.5, 0.5)), 0.5, 6),
     ],
-    ids=["attributed", "unattributed"],
+    ids=["attributed", "unattributed", "case-b-interleave", "case-b-high-only"],
 )
-def test_case_a_evaluates_each_term_once(monkeypatch, spec, alpha):
+def test_case_a_evaluates_each_term_once(monkeypatch, build, spec, alpha, depth):
     seen = []
     real = carpenter.term
 
@@ -574,8 +582,26 @@ def test_case_a_evaluates_each_term_once(monkeypatch, spec, alpha):
         return real(s, i)
 
     monkeypatch.setattr(carpenter, "term", counted)
-    build_case_a(spec, alpha, depth=3)
+    build(spec, alpha, depth)
     assert len(set(seen)) == len(seen)
+
+
+def _sparse_interleave(levels: int) -> SequenceSpec:
+    """Prefix 1/2, then a ``1 - 2**-(j + 1)`` tail behind ``levels`` zero interleaves:
+    feasible, with the high terms ``2**levels`` indices apart."""
+    tail = GeometricHigh(0.5, 0.5)
+    for _ in range(levels):
+        tail = Interleave(ZeroTail(), tail)
+    return SequenceSpec((0.5,), tail)
+
+
+def test_case_b_budget_bounds_the_terms_read(monkeypatch):
+    seen = []
+    real = carpenter.term
+    monkeypatch.setattr(carpenter, "term", lambda s, i: seen.append(i) or real(s, i))
+    with pytest.raises(BudgetExhaustedError):
+        build_case_b(_sparse_interleave(10), 0.5, 3, budget=1000)
+    assert 0 < len(seen) <= 1000
 
 
 @pytest.mark.parametrize("budget", [10, 100])

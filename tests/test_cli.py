@@ -493,6 +493,76 @@ def test_budget_exhaustion_exits_three(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "command, option",
+    [
+        ("majorize", ["--tol", "nan"]),
+        ("majorize", ["--tol", "inf"]),
+        ("synth", ["--tol", "nan"]),
+        ("carpenter", ["--tol", "-1"]),
+        ("verify", ["--tol", "nan"]),
+        ("obstruction", ["--budget", "-1"]),
+    ],
+    ids=["majorize-nan", "majorize-inf", "synth-nan", "carpenter-negative", "verify-nan",
+         "obstruction-budget"],
+)
+def test_malformed_tol_or_budget_exits_two_and_writes_nothing(tmp_path, capsys, command, option):
+    x = write_json(tmp_path / "x.json", {"values": [2.0, 2.0, 2.0]})
+    y = write_json(tmp_path / "y.json", {"values": [3.0, 2.0, 1.0]})
+    d = write_json(tmp_path / "d.json", {"values": [0.75, 0.5, 0.5, 0.25]})
+    p = str(tmp_path / "P.json")
+    assert main(["carpenter", d, "--out", p]) == 0
+    out = str(tmp_path / "out.json")
+    argv = {
+        "majorize": ["majorize", x, y, "--decompose", out],
+        "synth": ["synth", x, y, "--out", out],
+        "carpenter": ["carpenter", d, "--out", out],
+        "verify": ["verify", p, "--diagonal", d],
+        "obstruction": ["obstruction", write_json(tmp_path / "s.json", INTERLEAVE_SPEC),
+                        "--build", out],
+    }[command]
+    capsys.readouterr()
+    code = main(argv + option)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {option[0]} ") and captured.err.count("\n") == 1
+    assert not (tmp_path / "out.json").exists()
+
+
+def _sparse_interleave_spec(levels: int) -> dict:
+    """Prefix 1/2, then a ``1 - 2**-(j + 1)`` tail behind ``levels`` zero interleaves."""
+    tail = {"kind": "geometric-high", "c": 0.5, "r": 0.5}
+    for _ in range(levels):
+        tail = {"kind": "interleave", "parts": [{"kind": "zero"}, tail]}
+    return {"prefix": [0.5], "tail": tail}
+
+
+def test_sparse_case_b_build_stops_at_the_budget(tmp_path, capsys):
+    spec = write_json(tmp_path / "spec.json", _sparse_interleave_spec(10))
+    out = tmp_path / "t.json"
+    code = main(["obstruction", spec, "--build", str(out), "--depth", "3", "--budget", "1000"])
+    assert code == 3
+    assert "more than 1000 terms" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_divergent_high_terms_at_half_stay_unattributed(tmp_path, capsys):
+    # Every 33rd term equals 1/2 and sits low at alpha = 1/2; no sampled
+    # index may attribute the divergence to the high side.
+    cert = {"kind": "constant", "p": 0.1, "start": 1}
+    tail = {"kind": "divergent-high", "generator": "0.5 if i % 33 == 0 else 0.1",
+            "certificate": cert}
+    spec = write_json(tmp_path / "spec.json", {"prefix": [], "tail": tail})
+    out = tmp_path / "t.json"
+    code = main(["obstruction", spec, "--alpha", "0.5", "--build", str(out)])
+    pairs = _kv(capsys)
+    assert code == 0
+    assert (pairs["a_f"], pairs["b_f"], pairs["case"]) == ("unattributed", "unattributed", "CaseA")
+    assert main(["verify", str(out), "--spec", spec]) == 0
+    assert _kv(capsys)["ok"] == "true"
+
+
 def _divergent_spec(tmp_path, start, generator="0.25", p=0.25):
     cert = {"kind": "constant", "p": p, "start": start}
     tail = {"kind": "divergent-low", "generator": generator, "certificate": cert}

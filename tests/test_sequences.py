@@ -211,9 +211,9 @@ def test_divergent_high_attribution():
     # alpha < 1/2: all terms in [1/2, 1] sit high
     s = weak.side_sums(0.3)
     assert s.low == 0.0 and s.high == math.inf
-    # alpha = 1/2 with terms bounded away from 1/2: still all high
+    # alpha = 1/2: a term equal to 1/2 would sit low, and no certificate rules one out
     s = weak.side_sums(0.5)
-    assert s.low == 0.0 and s.high == math.inf
+    assert s.low is None and s.high is None
     # no certificate margin at alpha = 0.7 (p = 0.25 <= 0.3): unattributed
     s = weak.side_sums(0.7)
     assert s.low is None and s.high is None
