@@ -2,12 +2,16 @@
 
 All decoding errors raise :class:`FormatError` so callers (notably the CLI)
 can distinguish malformed input from numerical failure; that includes numbers
-outside the float range, and JSON nested too deeply to parse.  Each file is
-compact JSON text as ``json.dumps`` writes it (default separators, one line,
-plus a newline).  The matrix, truncated-projection and plan writers build
-their text directly and format each distinct float once.  Vectors and
-sequences are only read: no command writes them.  This module is the one
-owner of each wire format; the in-memory types carry no encoders.
+outside the float range, and JSON nested too deeply to parse.  The matrix,
+truncated-projection and plan writers write one line of JSON plus a newline,
+with each float in its shortest round-trip form (orjson encodes the numeric
+arrays); they refuse a non-finite entry with :class:`FormatError` and write
+no file.  A truncated projection's ``residual_bound`` is the one field that
+may be ``Infinity``.  Readers use the standard ``json`` module, so they
+accept any valid JSON spelling, including files from earlier versions
+(``", "`` separators).  Vectors and sequences are only read: no command
+writes them.  This module is the one owner of each wire format; the
+in-memory types carry no encoders.
 Formats:
 
 * matrix: ``{"n": int, "data": [[re, im], ...]}`` with ``n**2`` row-major
@@ -74,40 +78,20 @@ def _read_json(path) -> object:
         raise FormatError(f"{path} nests JSON too deeply") from exc
 
 
-def _write_text(path, text: str) -> None:
-    Path(path).write_text(text + "\n")
+def _matrix_json(m, fields: dict) -> bytes:
+    """File text of ``{"n": n, "data": [[re, im], ...]}`` (row-major) for the
+    square matrix ``m``, then ``fields``; orjson writes the floats."""
+    import orjson  # only writers pay its import
 
-
-def _float_texts(values: np.ndarray) -> np.ndarray:
-    """``json.dumps`` text of each float of the 1-d float64 array ``values``, as an object array.
-
-    Each distinct bit pattern (so ``-0.0`` and NaN payloads stay apart) is
-    formatted once, by one ``json.dumps`` of the distinct values, which also
-    gives JSON's ``NaN``/``Infinity`` spellings; the texts are then gathered
-    back into the order of ``values``.
-    """
-    if not values.size:
-        return np.empty(0, dtype=object)
-    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    texts = json.dumps(bits.view(np.float64).tolist())[1:-1].split(", ")
-    return np.array(texts, dtype=object)[inverse]
-
-
-def _matrix_json(m, fields: dict) -> str:
-    """``json.dumps`` text of ``{"n": n, "data": [[re, im], ...]}`` (row-major)
-    for the square matrix ``m``, then ``fields``; each distinct float is
-    formatted once."""
     m = np.ascontiguousarray(m, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise FormatError(f"expected a square matrix, got shape {m.shape}")
-    texts = _float_texts(m.reshape(-1).view(np.float64))  # re, im interleaved
-    pieces = np.empty(2 * texts.size, dtype=object)
-    pieces[0::2] = texts
-    pieces[1::4] = ", "
-    pieces[3::4] = "], ["
-    data = "[" + "".join(pieces[:-1].tolist()) + "]" if texts.size else ""
+    if not np.isfinite(m).all():
+        raise FormatError("matrix entries must be finite; nothing was written")
+    data = orjson.dumps(m.reshape(-1).view(np.float64).reshape(-1, 2),
+                        option=orjson.OPT_SERIALIZE_NUMPY)
     rest = ", " + json.dumps(fields)[1:] if fields else "}"
-    return f'{{"n": {m.shape[0]}, "data": [{data}]{rest}'
+    return b'{"n": %d, "data": %s%s\n' % (m.shape[0], data, rest.encode())
 
 
 def _require(obj, key, kind, context):
@@ -290,20 +274,24 @@ def load_truncated_projection(path) -> TruncatedProjection:
 
 
 def save_matrix(path, m) -> None:
-    _write_text(path, _matrix_json(m, {}))
+    Path(path).write_bytes(_matrix_json(m, {}))
 
 
 def save_plan(path, plan: TTransformPlan) -> None:
-    ts = _float_texts(np.array(plan.t, dtype=np.float64))
-    transforms = ", ".join(
-        f'{{"j": {j + 1}, "k": {k + 1}, "t": {t}}}'
-        for j, k, t in zip(plan.j, plan.k, ts.tolist())
-    )
-    orders = {
+    import orjson  # only writers pay its import
+
+    ts = np.array(plan.t, dtype=np.float64)
+    if not np.isfinite(ts).all():
+        raise FormatError("plan weights must be finite; nothing was written")
+    obj = {
+        "transforms": [
+            {"j": j + 1, "k": k + 1, "t": t} for j, k, t in zip(plan.j, plan.k, ts.tolist())
+        ],
         "source_order": [p + 1 for p in plan.source_order],
         "placement": [p + 1 for p in plan.placement],
     }
-    _write_text(path, f'{{"transforms": [{transforms}], {json.dumps(orders)[1:]}')
+    options = orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_APPEND_NEWLINE
+    Path(path).write_bytes(orjson.dumps(obj, option=options))
 
 
 def save_truncated_projection(path, t: TruncatedProjection) -> None:
@@ -313,4 +301,4 @@ def save_truncated_projection(path, t: TruncatedProjection) -> None:
         "residual_bound": t.residual_bound,
         "permutation": list(t.diagonal_map),
     }
-    _write_text(path, _matrix_json(t.matrix, fields))
+    Path(path).write_bytes(_matrix_json(t.matrix, fields))

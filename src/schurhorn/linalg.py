@@ -91,12 +91,13 @@ def hermitian_eigenvalues(a) -> np.ndarray:
     """Eigenvalues of a Hermitian matrix, sorted ascending.
 
     Checks the input is Hermitian (max-entry residual at most
-    ``STRUCTURAL_TOL``) and delegates to LAPACK through
+    ``STRUCTURAL_TOL * max(1, max|A|)``, so the check scales with the entries
+    as rounding does) and delegates to LAPACK through
     ``numpy.linalg.eigvalsh``; a LAPACK failure raises
     :class:`ConvergenceError`.
     """
     a = as_matrix(a)
-    if hermitian_residual(a) > STRUCTURAL_TOL:
+    if hermitian_residual(a) > STRUCTURAL_TOL * max(1.0, float(np.abs(a).max())):
         raise ValueError("hermitian_eigenvalues requires a Hermitian input")
     try:
         return np.linalg.eigvalsh(a)

@@ -207,6 +207,22 @@ def test_synth_writes_verifiable_artifacts(tmp_path, capsys):
     assert np.max(np.abs(u @ np.diag([2.0, 1.0, 0.0]) @ u.conj().T - a)) <= 1e-9
 
 
+@pytest.mark.parametrize("seed", [0, 2, 4, 5, 6])
+def test_synth_accepts_its_own_output_at_large_scale(tmp_path, capsys, seed):
+    # y ~ 1e6 N(0, 1): the written matrix's Hermitian residual (~1e-10) is
+    # rounding at that scale, so synth's own spectrum check and verify pass.
+    rng = np.random.default_rng(seed)
+    y = 1e6 * rng.normal(size=24)
+    x = sum(w * y[rng.permutation(24)] for w in rng.dirichlet(np.ones(8)))
+    d = write_json(tmp_path / "d.json", {"values": x.tolist()})
+    s = write_json(tmp_path / "s.json", {"values": y.tolist()})
+    out = tmp_path / "a.json"
+    assert main(["synth", d, s, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["verify", str(out), "--diagonal", d, "--spectrum", s]) == 0
+    assert _kv(capsys)["ok"] == "true"
+
+
 def test_synth_non_majorized_exits_one(tmp_path, capsys):
     d = write_json(tmp_path / "d.json", {"values": [2.0, 0.0]})
     s = write_json(tmp_path / "s.json", {"values": [1.5, 0.5]})

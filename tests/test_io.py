@@ -2,9 +2,12 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schurhorn import (
     Certificate,
@@ -45,8 +48,8 @@ HALF_INTERLEAVE = SequenceSpec(
 )
 
 
-# Reference encoders: a matrix, plan or truncated-projection file is exactly
-# ``json.dumps`` of one of these objects plus a newline.
+# Reference encoders: a matrix, plan or truncated-projection file is one line
+# of JSON that parses to the same value as ``json.dumps`` of one of these.
 def matrix_to_obj(m) -> dict:
     m = np.asarray(m, dtype=np.complex128)
     flat = m.reshape(-1)
@@ -72,6 +75,13 @@ def truncated_projection_to_obj(t) -> dict:
     }
 
 
+def assert_one_line_of(path, ref) -> None:
+    """``path`` holds one line plus a newline, parsing to the JSON value of ``ref``."""
+    text = path.read_text()
+    assert text.endswith("\n") and "\n" not in text[:-1]
+    assert json.loads(text) == json.loads(json.dumps(ref))
+
+
 def _load(loader, tmp_path, obj):
     """``loader`` run on a file holding ``obj`` as JSON text."""
     return loader(write_json(tmp_path / "in.json", obj))
@@ -87,23 +97,33 @@ def test_matrix_round_trip(tmp_path):
     for pos, a in enumerate(cases):
         path = tmp_path / f"m{pos}.json"
         save_matrix(path, a)
-        assert path.read_text() == json.dumps(matrix_to_obj(a)) + "\n"  # compact, one line
+        assert_one_line_of(path, matrix_to_obj(a))
         back = load_matrix(path)
         assert back.shape == a.shape
         assert back.tobytes() == a.tobytes()  # exact: floats survive JSON round trips
 
 
-def test_matrix_writer_spells_non_finite_entries_as_json_does(tmp_path):
-    quiet_nan = np.array([0x7FF8000000000001], dtype=np.int64).view(np.float64)[0]
-    a = np.array([
-        [math.nan, complex(math.inf, -math.inf)],
-        [complex(quiet_nan, -0.0), complex(0.0, math.nan)],
-    ])
-    path = tmp_path / "m.json"
-    save_matrix(path, a)
-    text = path.read_text()
-    assert text == json.dumps(matrix_to_obj(a)) + "\n"
-    assert text.count("NaN") == 3 and "[Infinity, -Infinity]" in text and "-0.0" in text
+def test_writers_refuse_non_finite_entries(tmp_path):
+    nan_payload = np.array([0x7FF8000000000001], dtype=np.int64).view(np.float64)[0]
+    tower = build_case_b(SequenceSpec((), Interleave(GeometricLow(0.5, 0.5),
+                                                     GeometricHigh(0.5, 0.5))), depth=1)[0]
+    for pos, entry in enumerate([complex(math.nan, 0.0), complex(0.0, math.inf),
+                                 complex(-math.inf, -0.0), complex(nan_payload, 0.0)]):
+        a = np.eye(2, dtype=np.complex128)
+        a[0, 1] = entry
+        path = tmp_path / f"m{pos}.json"
+        with pytest.raises(FormatError):
+            save_matrix(path, a)
+        assert not path.exists()
+        bad = np.array(tower.matrix)
+        bad[-1, 0] = entry
+        with pytest.raises(FormatError):
+            save_truncated_projection(path, replace(tower, matrix=bad))
+        assert not path.exists()
+    path = tmp_path / "plan.json"
+    with pytest.raises(FormatError):
+        save_plan(path, TTransformPlan((0,), (1,), (math.nan,), (0, 1), (0, 1)))
+    assert not path.exists()
 
 
 def test_matrix_malformed(tmp_path):
@@ -240,12 +260,12 @@ def test_plan_round_trip(tmp_path):
     ):
         path = tmp_path / f"plan{pos}.json"
         save_plan(path, plan)
-        assert path.read_text() == json.dumps(plan_to_obj(plan)) + "\n"
-        assert load_plan(path) == plan
-    assert path.read_text().startswith(
-        '{"transforms": [{"j": 1, "k": 2, "t": 0.0}, {"j": 2, "k": 3, "t": 1.0}, '
-        '{"j": 3, "k": 1, "t": 0.3}, {"j": 3, "k": 1, "t": 1.0}], '
-    )
+        assert_one_line_of(path, plan_to_obj(plan))
+        back = load_plan(path)
+        assert back == plan
+        assert np.array(back.t).tobytes() == np.array(plan.t, dtype=np.float64).tobytes()
+    int_weight = json.loads(path.read_text())["transforms"][3]["t"]
+    assert type(int_weight) is float and int_weight == 1.0
 
 
 def test_plan_malformed(tmp_path):
@@ -329,11 +349,71 @@ def test_plan_round_trip_random_decompositions(tmp_path):
         plan = decompose_t_transforms(x, y)
         path = tmp_path / f"plan{pos}.json"
         save_plan(path, plan)
-        assert path.read_text() == json.dumps(plan_to_obj(plan)) + "\n"
+        assert_one_line_of(path, plan_to_obj(plan))
         back = load_plan(path)
         assert back == plan
+        assert np.array(back.t).tobytes() == np.array(plan.t, dtype=np.float64).tobytes()
         assert replay_t_transform_plan(back, y).tobytes() == replay_t_transform_plan(
             plan, y).tobytes()
+
+
+def _float_from_bits(bits: int) -> float:
+    return float(np.array([bits], dtype=np.uint64).view(np.float64)[0])
+
+
+# Signed zeros, subnormals, the extremes, and values that repr and the
+# writer's encoder spell differently (1e-07 / 1e-7, 2.5e-05 / 0.000025,
+# 1e+16 / 1e16).
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
+                  1.7e308, -1.7e308, 1e-07, 2.5e-05, 1e16, -1e16, 0.1, 1.0]
+finite_floats = st.one_of(
+    st.integers(0, 2**64 - 1).map(_float_from_bits).filter(math.isfinite),
+    st.sampled_from(SPECIAL_FLOATS),
+)
+# Bit patterns 0 .. 0x3FF0000000000000 are exactly the floats in [0.0, 1.0].
+unit_floats = st.one_of(
+    st.integers(0, 0x3FF0000000000000).map(_float_from_bits),
+    st.sampled_from([f for f in SPECIAL_FLOATS if 0.0 <= f <= 1.0]),
+)
+
+
+@st.composite
+def matrices(draw):
+    n = draw(st.integers(0, 6))
+    parts = draw(st.lists(finite_floats, min_size=2 * n * n, max_size=2 * n * n))
+    return np.array(parts, dtype=np.float64).view(np.complex128).reshape(n, n)
+
+
+@st.composite
+def plans(draw):
+    n = draw(st.integers(1, 6))
+    steps = []
+    for _ in range(draw(st.integers(0, 8)) if n > 1 else 0):
+        j = draw(st.integers(0, n - 1))
+        steps.append((j, (j + draw(st.integers(1, n - 1))) % n, draw(unit_floats)))
+    js, ks, ts = (tuple(col) for col in zip(*steps)) if steps else ((), (), ())
+    orders = (tuple(draw(st.permutations(range(n)))) for _ in range(2))
+    return TTransformPlan(js, ks, ts, *orders)
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices())
+def test_matrix_writer_round_trips_float_bit_patterns(tmp_path_factory, a):
+    path = tmp_path_factory.getbasetemp() / "hypothesis_matrix.json"
+    save_matrix(path, a)
+    assert_one_line_of(path, matrix_to_obj(a))
+    assert load_matrix(path).tobytes() == a.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(plans())
+def test_plan_writer_round_trips_float_bit_patterns(tmp_path_factory, plan):
+    path = tmp_path_factory.getbasetemp() / "hypothesis_plan.json"
+    save_plan(path, plan)
+    assert_one_line_of(path, plan_to_obj(plan))
+    back = load_plan(path)
+    assert back == plan
+    assert np.array(back.t, dtype=np.float64).tobytes() == np.array(plan.t).tobytes()
 
 
 def test_sequence_spec_round_trip(tmp_path):
@@ -394,9 +474,9 @@ def test_truncated_projection_round_trip(tmp_path):
         assert t.diagonal_map[-1] is None  # the slack position
         path = tmp_path / f"p{t.depth}.json"
         save_truncated_projection(path, t)
-        assert path.read_text() == json.dumps(truncated_projection_to_obj(t)) + "\n"
+        assert_one_line_of(path, truncated_projection_to_obj(t))
         back = load_truncated_projection(path)
-        assert np.all(back.matrix == t.matrix)
+        assert back.matrix.tobytes() == np.asarray(t.matrix, dtype=np.complex128).tobytes()
         assert back.depth == t.depth
         assert back.diagonal_map == t.diagonal_map
         assert back.covered == t.covered
@@ -408,10 +488,11 @@ def test_truncated_projection_infinite_bound_round_trip(tmp_path):
     t = build_case_a(spec, depth=2)
     path = tmp_path / "a.json"
     save_truncated_projection(path, t)
-    assert path.read_text() == json.dumps(truncated_projection_to_obj(t)) + "\n"
+    assert_one_line_of(path, truncated_projection_to_obj(t))
     assert '"residual_bound": Infinity' in path.read_text()
     back = load_truncated_projection(path)
     assert back.residual_bound == math.inf
+    assert back.matrix.tobytes() == np.asarray(t.matrix, dtype=np.complex128).tobytes()
     assert back.diagonal_map == t.diagonal_map
 
 

@@ -87,6 +87,17 @@ def test_eigenvalues_edge_cases():
         hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_hermitian_check_scales_with_the_entries():
+    # The residual bound is STRUCTURAL_TOL * max(1, max|A|).
+    skew = np.array([[0.0, 1.0], [0.0, 0.0]])
+    with pytest.raises(ValueError):
+        hermitian_eigenvalues(np.eye(2) + 1e-9 * skew)  # |A| ~ 1, residual 1e-9
+    big = np.diag([1e6, -1e6])
+    assert np.all(hermitian_eigenvalues(big + 1e-5 * skew) == [-1e6, 1e6])  # bound 1e-4
+    with pytest.raises(ValueError):
+        hermitian_eigenvalues(big + 1e-3 * skew)
+
+
 def test_lapack_failure_is_a_convergence_error(tmp_path, monkeypatch, capsys):
     def fail(a):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
