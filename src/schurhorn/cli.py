@@ -310,6 +310,7 @@ _EXIT_CODES = (
     (InfeasibleDiagonalError, 1),
     (MajorizationError, 1),
     (RuntimeError, 3),
+    (MemoryError, 3),
     (ValueError, 2),
     (OSError, 2),
 )

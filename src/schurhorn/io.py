@@ -3,15 +3,20 @@
 All decoding errors raise :class:`FormatError` so callers (notably the CLI)
 can distinguish malformed input from numerical failure; that includes numbers
 outside the float range, and JSON nested too deeply to parse.  The matrix,
-truncated-projection and plan writers write one line of JSON plus a newline,
-with each float in its shortest round-trip form (orjson encodes the numeric
-arrays); they refuse a non-finite entry with :class:`FormatError` and write
-no file.  A truncated projection's ``residual_bound`` is the one field that
-may be ``Infinity``.  Readers use the standard ``json`` module, so they
-accept any valid JSON spelling, including files from earlier versions
-(``", "`` separators).  Vectors and sequences are only read: no command
-writes them.  This module is the one owner of each wire format; the
-in-memory types carry no encoders.
+truncated-projection and plan writers write one line of strict JSON plus a
+newline, with each float in its shortest round-trip form (orjson encodes the
+numeric arrays); they refuse a non-finite entry with :class:`FormatError` and
+write no file.  An unbounded ``residual_bound`` is written as ``null``.
+
+Matrix and truncated-projection files are parsed by orjson.  Any text that
+nests deeply or holds an escape, any text orjson refuses, and any object
+that fails a check or has a key the reader does not read are parsed by the
+standard ``json`` module instead, which reads vectors, plans and sequence
+specs too.  So every valid JSON spelling loads, including files from
+earlier versions (``", "`` separators, a ``residual_bound`` of
+``Infinity``), and every rejected file raises the ``json`` path's error.
+Vectors and sequences are only read: no command writes them.  This module
+is the one owner of each wire format; the in-memory types carry no encoders.
 Formats:
 
 * matrix: ``{"n": int, "data": [[re, im], ...]}`` with ``n**2`` row-major
@@ -65,17 +70,24 @@ class FormatError(ValueError):
     """A file or object does not follow one of the documented formats."""
 
 
-def _read_json(path) -> object:
+def _read_text(path) -> str:
     try:
-        text = Path(path).read_text()
+        return Path(path).read_text()
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
+
+
+def _parse_json(path, text: str) -> object:
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path} is not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise FormatError(f"{path} nests JSON too deeply") from exc
+
+
+def _read_json(path) -> object:
+    return _parse_json(path, _read_text(path))
 
 
 def _matrix_json(m, fields: dict) -> bytes:
@@ -154,7 +166,7 @@ def _matrix_from_obj(obj) -> np.ndarray:
     if not (
         all(issubclass(k, (list, tuple)) for k in set(map(type, data)))
         and set(map(len, data)) <= {2}
-        and _all_numbers(chain.from_iterable(data))
+        and _all_numbers(flat := list(chain.from_iterable(data)))
     ):
         pos = next(
             pos
@@ -164,12 +176,61 @@ def _matrix_from_obj(obj) -> np.ndarray:
             or not all(map(_is_number, pair))
         )
         raise FormatError(f"matrix: entry {pos} must be a [re, im] pair")
-    flat = _finite_floats(chain.from_iterable(data), 2 * len(data), "matrix")
-    return flat.view(np.complex128).reshape(n, n)
+    return _finite_floats(flat, len(flat), "matrix").view(np.complex128).reshape(n, n)
+
+
+# Bytes that ``_nests_shallowly`` deletes: all but quotes, backslashes and brackets.
+_NOT_STRUCTURE = bytes(sorted(set(range(256)) - set(b'"\\[]{}')))
+
+
+def _nests_shallowly(raw: bytes) -> bool:
+    """Whether ``raw`` has no backslash, no string with a bracket in it, and
+    brackets nested at most 6 deep; every file this module writes passes.
+
+    orjson recurses once per nesting level with no limit: about 10**5 levels
+    (a 200 kB file) overflow an 8 MiB C stack and kill the process, where
+    ``json`` raises RecursionError.  The two formats nest 3 deep.  With no
+    backslash, quotes pair up in order, so a string holds no bracket exactly
+    when every quote is next to its partner once all else is deleted.  Each
+    round of pair removal then peels one or two levels.
+    """
+    s = raw.translate(None, _NOT_STRUCTURE).replace(b'""', b"")
+    if b'"' in s or b"\\" in s:
+        return False
+    for _ in range(3):
+        s = s.replace(b"[]", b"").replace(b"{}", b"")
+    return not s
+
+
+def _read_checked(path, from_obj, keys: frozenset):
+    """``from_obj`` of the object in the file at ``path``, parsed by orjson.
+
+    The ``json`` path decides whenever the text nests deeply, orjson refuses
+    it, ``from_obj`` raises :class:`FormatError`, or the object has a key
+    outside ``keys``: orjson reads ``NaN``, ``Infinity`` and overflowing
+    numbers as errors and integers beyond 64 bits as floats, so only an
+    object whose every value ``from_obj`` checked is sure to equal what
+    ``json`` gives.
+    """
+    import orjson  # only matrix and truncation readers pay its import
+
+    raw = _read_text(path).encode()  # decodes back to the same text
+    if _nests_shallowly(raw):
+        try:
+            obj = orjson.loads(raw)
+            if isinstance(obj, dict) and obj.keys() <= keys:
+                return from_obj(obj)
+        except (orjson.JSONDecodeError, FormatError):
+            pass
+    return from_obj(_parse_json(path, raw.decode()))
+
+
+_MATRIX_KEYS = frozenset({"n", "data"})
+_TRUNCATION_KEYS = _MATRIX_KEYS | {"depth", "covered", "residual_bound", "permutation"}
 
 
 def load_matrix(path) -> np.ndarray:
-    return _matrix_from_obj(_read_json(path))
+    return _read_checked(path, _matrix_from_obj, _MATRIX_KEYS)
 
 
 def load_vector(path) -> np.ndarray:
@@ -252,17 +313,23 @@ def load_sequence_spec(path) -> SequenceSpec:
 
 
 def load_truncated_projection(path) -> TruncatedProjection:
-    obj = _read_json(path)
+    return _read_checked(path, _truncation_from_obj, _TRUNCATION_KEYS)
+
+
+def _truncation_from_obj(obj) -> TruncatedProjection:
     matrix = _matrix_from_obj(obj)
     depth = _require(obj, "depth", int, "truncated projection")
     covered = _require(obj, "covered", list, "truncated projection")
-    bound = _require(obj, "residual_bound", float, "truncated projection")
+    if obj.get("residual_bound", 0.0) is None:  # no bound claimed
+        bound = math.inf
+    else:
+        bound = _require(obj, "residual_bound", float, "truncated projection")
     permutation = _require(obj, "permutation", list, "truncated projection")
     if len(permutation) != matrix.shape[0]:
         raise FormatError("truncated projection: permutation length must match n")
     diagonal_map = _one_based(permutation, "truncated projection: permutation", nullable=True)
     covered = _one_based(covered, "truncated projection: covered")
-    if depth < 1 or (bound != math.inf and bound < 0):
+    if depth < 1 or not bound >= 0:  # NaN fails too
         raise FormatError("truncated projection: depth must be >= 1 and bound non-negative")
     return TruncatedProjection(
         matrix=matrix,
@@ -295,10 +362,12 @@ def save_plan(path, plan: TTransformPlan) -> None:
 
 
 def save_truncated_projection(path, t: TruncatedProjection) -> None:
+    if not t.residual_bound >= 0:
+        raise FormatError("residual bound must be non-negative; nothing was written")
     fields = {
         "depth": t.depth,
         "covered": list(t.covered),
-        "residual_bound": t.residual_bound,
+        "residual_bound": None if t.residual_bound == math.inf else t.residual_bound,
         "permutation": list(t.diagonal_map),
     }
     Path(path).write_bytes(_matrix_json(t.matrix, fields))

@@ -1,8 +1,12 @@
 """End-to-end command-line checks: outputs, artifacts, and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -293,9 +297,10 @@ def test_obstruction_case_a_build(tmp_path, capsys):
     assert int(pairs["dim"]) == 12
     assert float(pairs["trace"]) == pytest.approx(7.0, abs=1e-9)
     assert pairs["residual_bound"] == "inf"
+    assert '"residual_bound": null' in build.read_text()  # strict JSON: no Infinity
     code = main(["verify", str(build), "--spec", spec])
     assert code == 0
-    capsys.readouterr()
+    assert _kv(capsys)["ok"] == "true"
 
 
 CONSTANT_HALF_SPEC = {
@@ -502,6 +507,41 @@ def test_exit_code_table(monkeypatch, capsys, exc, code):
     assert capsys.readouterr().err == f"error: {exc}\n"
 
 
+@pytest.mark.parametrize("command", ["synth", "carpenter"])
+def test_memory_error_exits_three(tmp_path, capsys, monkeypatch, command):
+    def out_of_memory(*args):
+        raise MemoryError("Unable to allocate 5.96 GiB for an array with shape (20000, 20000)")
+
+    d = write_json(tmp_path / "d.json", {"values": [1.0, 0.5, 0.5]})
+    out = tmp_path / "out.json"
+    if command == "synth":
+        monkeypatch.setattr(cli, "synthesize_hermitian", out_of_memory)
+        s = write_json(tmp_path / "s.json", {"values": [1.0, 1.0, 0.0]})
+        argv = ["synth", d, s, "--out", str(out)]
+    else:
+        monkeypatch.setattr(cli, "carpenter_finite", out_of_memory)
+        argv = ["carpenter", d, "--out", str(out)]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bound, code", [("NaN", 2), ("-1.0", 2), ("0.0", 0), ("null", 0)])
+def test_truncation_bound_must_be_non_negative(tmp_path, capsys, bound, code):
+    truncation = tmp_path / "t.json"
+    truncation.write_text('{"n": 1, "data": [[1.0, 0.0]], "depth": 1, "covered": [1], '
+                          f'"residual_bound": {bound}, "permutation": [1]}}')
+    spec = write_json(tmp_path / "spec.json", {"prefix": [1.0], "tail": {"kind": "zero"}})
+    assert main(["verify", str(truncation), "--spec", spec]) == code
+    captured = capsys.readouterr()
+    if code == 2:
+        assert captured.err == ("error: truncated projection: depth must be >= 1 "
+                                "and bound non-negative\n")
+    else:
+        assert "ok=true" in captured.out
+
+
 def test_budget_exhaustion_exits_three(tmp_path, capsys):
     spec = write_json(tmp_path / "spec.json", INTERLEAVE_SPEC)
     code = main(["obstruction", spec, "--build", str(tmp_path / "t.json"), "--budget", "2"])
@@ -648,6 +688,25 @@ def test_deeply_nested_json_exits_two(tmp_path, capsys):
     spec.write_text('{"prefix": [], "tail": ' + nested + "}")
     assert main(["obstruction", str(spec)]) == 2
     assert "nests JSON too deeply" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec", [False, True], ids=["matrix", "truncation"])
+def test_nesting_past_the_c_stack_exits_two(tmp_path, spec):
+    # A million levels overflow the C stack of a recursive parser with no
+    # depth limit, which would kill the process; run it in a child process.
+    artifact = tmp_path / "deep.json"
+    artifact.write_text('{"n": 1, "data": ' + "[" * 1_000_000 + "]" * 1_000_000 + "}")
+    argv = ["verify", str(artifact)]
+    if spec:
+        argv += ["--spec", write_json(tmp_path / "spec.json", {"prefix": [1.0],
+                                                                "tail": {"kind": "zero"}})]
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "schurhorn.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2, done.stderr[-300:]
+    assert done.stderr == f"error: {artifact} nests JSON too deeply\n"
 
 
 @pytest.mark.parametrize(

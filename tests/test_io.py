@@ -5,6 +5,7 @@ import math
 from dataclasses import replace
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -70,7 +71,7 @@ def truncated_projection_to_obj(t) -> dict:
     return matrix_to_obj(t.matrix) | {
         "depth": t.depth,
         "covered": list(t.covered),
-        "residual_bound": t.residual_bound,
+        "residual_bound": None if t.residual_bound == math.inf else t.residual_bound,
         "permutation": list(t.diagonal_map),
     }
 
@@ -119,6 +120,10 @@ def test_writers_refuse_non_finite_entries(tmp_path):
         bad[-1, 0] = entry
         with pytest.raises(FormatError):
             save_truncated_projection(path, replace(tower, matrix=bad))
+        assert not path.exists()
+    for bound in (math.nan, -math.inf, -1.0):
+        with pytest.raises(FormatError):
+            save_truncated_projection(path, replace(tower, residual_bound=bound))
         assert not path.exists()
     path = tmp_path / "plan.json"
     with pytest.raises(FormatError):
@@ -228,6 +233,109 @@ def test_oversized_integer_is_a_format_error(tmp_path, loader, obj):
     path.write_text(json.dumps(obj))
     with pytest.raises(FormatError):
         loader(path)
+
+
+def _refuse(text):
+    raise orjson.JSONDecodeError("refused", "", 0)
+
+
+def _outcome(loader, path):
+    """What ``loader`` gives for ``path``: the loaded value or the error message."""
+    try:
+        return loader(path)
+    except FormatError as exc:
+        return str(exc)
+
+
+def _json_path_outcome(loader, path):
+    """``_outcome`` with orjson refusing every text, so only ``json`` parses."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(orjson, "loads", _refuse)
+        return _outcome(loader, path)
+
+
+def _same(a, b) -> bool:
+    if isinstance(a, str) or isinstance(b, str):
+        return a == b
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    return (_same(a.matrix, b.matrix) and (a.depth, a.covered, a.diagonal_map)
+            == (b.depth, b.covered, b.diagonal_map)
+            and np.float64(a.residual_bound).tobytes() == np.float64(b.residual_bound).tobytes())
+
+
+_DEEP = "[" * 2_000 + "]" * 2_000
+_ONE = '{"n": 1, "data": [[1.0, 0.0]]'
+_REST = ', "depth": 1, "covered": [1], "residual_bound": 0.5, "permutation": [1]'
+_TOO_DEEP = "{path} nests JSON too deeply"
+
+# Texts on which orjson and json disagree, with the message the reader raises
+# (the json-only reader's) or None where the file loads.
+DISAGREEING = {
+    "nan-entry": (load_matrix, '{"n": 1, "data": [[NaN, 0.0]]}',
+                  "matrix: entries must be finite"),
+    "infinity-entry": (load_matrix, '{"n": 1, "data": [[0.0, -Infinity]]}',
+                       "matrix: entries must be finite"),
+    "overflowing-float": (load_matrix, '{"n": 1, "data": [[1e400, 0.0]]}',
+                          "matrix: entries must be finite"),
+    "overflowing-integer": (load_matrix, '{"n": 1, "data": [[1' + "0" * 400 + ', 0]]}',
+                            "matrix: an entry is out of float range"),
+    "65-bit-n": (load_matrix, '{"n": 18446744073709551616, "data": [[1.0, 0.0]]}',
+                 f"matrix: expected {2**128} entries, got 1"),
+    "deep-unknown-key": (load_matrix, _ONE + ', "note": ' + _DEEP + "}", _TOO_DEEP),
+    "deep-data": (load_matrix, '{"n": 1, "data": ' + _DEEP + "}", _TOO_DEEP),
+    "lone-surrogate": (load_matrix, _ONE + ', "note": "\\ud800"}', None),
+    "brackets-in-a-string": (load_matrix, _ONE + ', "note": "]]{["}', None),
+    "byte-order-mark": (load_matrix, "\ufeff" + _ONE + "}",
+                        "{path} is not valid JSON: Unexpected UTF-8 BOM "
+                        "(decode using utf-8-sig): line 1 column 1 (char 0)"),
+    "truncation-deep-unknown-key": (load_truncated_projection,
+                                    _ONE + _REST + ', "note": ' + _DEEP + "}", _TOO_DEEP),
+    "truncation-65-bit-depth": (load_truncated_projection,
+                                _ONE + _REST.replace('"depth": 1', f'"depth": {2**64}') + "}",
+                                None),
+    "truncation-70-bit-covered": (load_truncated_projection,
+                                  _ONE + _REST.replace("[1]", f"[{2**70}]", 1) + "}", None),
+    "truncation-infinite-bound": (load_truncated_projection,
+                                  _ONE + _REST.replace("0.5", "Infinity") + "}", None),
+    "truncation-nan-bound": (load_truncated_projection,
+                             _ONE + _REST.replace("0.5", "NaN") + "}",
+                             "truncated projection: depth must be >= 1 and bound non-negative"),
+}
+
+
+@pytest.mark.parametrize("loader,text,message", DISAGREEING.values(), ids=DISAGREEING)
+def test_reader_falls_back_to_json_where_orjson_disagrees(tmp_path, loader, text, message):
+    path = tmp_path / "in.json"
+    path.write_text(text)
+    got = _outcome(loader, path)
+    if message is None:
+        assert not isinstance(got, str), got
+    else:
+        assert got == message.format(path=path)
+    assert _same(got, _json_path_outcome(loader, path))
+
+
+def test_old_and_new_spellings_load_alike(tmp_path):
+    # Earlier writers put ", " between all items and spelled no bound Infinity.
+    rng = np.random.default_rng(417)
+    a = random_hermitian(rng, 7)
+    spec = SequenceSpec((), Interleave(GeometricLow(0.5, 0.5), GeometricHigh(0.5, 0.5)))
+    towers = [*build_case_b(spec, depth=2),
+              build_case_a(SequenceSpec((), DivergentLow("0.5", Certificate("constant", 0.5))),
+                           depth=2)]
+    cases = [(load_matrix, save_matrix, a, matrix_to_obj(a))]
+    cases += [(load_truncated_projection, save_truncated_projection, t,
+               truncated_projection_to_obj(t) | {"residual_bound": t.residual_bound})
+              for t in towers]
+    for loader, saver, value, old_obj in cases:
+        new, old, indented = tmp_path / "new.json", tmp_path / "old.json", tmp_path / "i.json"
+        saver(new, value)
+        old.write_text(json.dumps(old_obj))
+        indented.write_text(json.dumps(old_obj, indent=2))
+        assert ", " in old.read_text().partition('"data": ')[2][:40]
+        assert _same(loader(new), loader(old)) and _same(loader(new), loader(indented))
+    assert '"residual_bound": Infinity' in old.read_text()
 
 
 def test_vector_round_trip(tmp_path):
@@ -402,7 +510,38 @@ def test_matrix_writer_round_trips_float_bit_patterns(tmp_path_factory, a):
     path = tmp_path_factory.getbasetemp() / "hypothesis_matrix.json"
     save_matrix(path, a)
     assert_one_line_of(path, matrix_to_obj(a))
+    orjson.loads(path.read_bytes())
     assert load_matrix(path).tobytes() == a.tobytes()
+
+
+float_spellings = st.one_of(
+    finite_floats.map(repr),
+    finite_floats.map("{:.17e}".format),
+    finite_floats.map("{:.25E}".format),
+    finite_floats.map("{:.3g}".format),
+    st.integers(-(2**80), 2**80).map(str),
+    st.integers(-(10**308), 10**308).map(str),
+)
+
+
+@st.composite
+def matrix_texts(draw):
+    n = draw(st.integers(0, 3))
+    parts = draw(st.lists(float_spellings, min_size=2 * n * n, max_size=2 * n * n))
+    pairs = ", ".join(f"[{re}, {im}]" for re, im in zip(parts[::2], parts[1::2]))
+    return n, parts, f'{{"n": {n}, "data": [{pairs}]}}'
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrix_texts())
+def test_matrix_reader_parses_every_spelling_as_json_does(tmp_path_factory, case):
+    n, parts, text = case
+    path = tmp_path_factory.getbasetemp() / "hypothesis_spelling.json"
+    path.write_text(text)
+    want = np.array([float(json.loads(p)) for p in parts], dtype=np.float64)  # "-0" is 0.0
+    got = load_matrix(path)
+    assert got.shape == (n, n)
+    assert got.reshape(-1).view(np.float64).tobytes() == want.tobytes()
 
 
 @settings(max_examples=200, deadline=None)
@@ -489,11 +628,18 @@ def test_truncated_projection_infinite_bound_round_trip(tmp_path):
     path = tmp_path / "a.json"
     save_truncated_projection(path, t)
     assert_one_line_of(path, truncated_projection_to_obj(t))
-    assert '"residual_bound": Infinity' in path.read_text()
-    back = load_truncated_projection(path)
-    assert back.residual_bound == math.inf
-    assert back.matrix.tobytes() == np.asarray(t.matrix, dtype=np.complex128).tobytes()
-    assert back.diagonal_map == t.diagonal_map
+    assert '"residual_bound": null' in path.read_text()
+    orjson.loads(path.read_bytes())  # strict JSON: no Infinity literal
+    # Files written before the bound was spelled null still load.
+    legacy = tmp_path / "legacy.json"
+    legacy.write_text(json.dumps(truncated_projection_to_obj(t) | {"residual_bound": math.inf}))
+    assert '"residual_bound": Infinity' in legacy.read_text()
+    for p in (path, legacy):
+        back = load_truncated_projection(p)
+        assert back.residual_bound == math.inf
+        assert back.matrix.tobytes() == np.asarray(t.matrix, dtype=np.complex128).tobytes()
+        assert back.diagonal_map == t.diagonal_map
+        assert back.covered == t.covered and back.depth == t.depth
 
 
 def test_truncated_projection_malformed(tmp_path):
