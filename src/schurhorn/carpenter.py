@@ -539,5 +539,5 @@ def verify_truncation(
         if idx is not None and idx in covered:
             diag_err = max(diag_err, abs(p[pos, pos].real - term(spec, idx)))
     excess = projection_entry_excess(p)
-    ok = proj_res <= tol and diag_err <= max(tol, 1e-9) and excess <= max(tol, 1e-9)
+    ok = bool(proj_res <= tol and diag_err <= max(tol, 1e-9) and excess <= max(tol, 1e-9))
     return VerificationReport(proj_res, diag_err, excess, ok)

@@ -1,23 +1,22 @@
 """JSON file formats for matrices, vectors, mixing plans, and sequences.
 
-All decoding errors raise :class:`FormatError` so callers (notably the CLI)
-can distinguish malformed input from numerical failure; that includes numbers
-outside the float range, and JSON nested too deeply to parse.  The matrix,
-truncated-projection and plan writers write one line of strict JSON plus a
-newline, with each float in its shortest round-trip form (orjson encodes the
-numeric arrays); they refuse a non-finite entry with :class:`FormatError` and
-write no file.  An unbounded ``residual_bound`` is written as ``null``.
+Every reader goes through ``_load`` and every writer through ``_write``.  All
+decoding errors raise :class:`FormatError` so callers (notably the CLI) can
+distinguish malformed input from numerical failure; that includes numbers
+outside the float range, and JSON nested too deeply to parse.  A writer puts
+one line of compact strict JSON plus a newline, with each float in its
+shortest round-trip form (orjson encodes it); it refuses a non-finite entry
+or an integer beyond 64 bits with :class:`FormatError` and writes no file.
+An unbounded ``residual_bound`` is written as ``null``.
 
-Matrix and truncated-projection files are parsed by orjson.  Any text that
-nests deeply or holds an escape, any text orjson refuses, and any object
-that fails a check or has a key the reader does not read are parsed by the
-standard ``json`` module instead, which reads vectors, plans and sequence
-specs too.  So every valid JSON spelling loads, including files from
-earlier versions (``", "`` separators, a ``residual_bound`` of
-``Infinity``), and every rejected file raises the ``json`` path's error.
-Vectors and sequences are only read: no command writes them.  This module
-is the one owner of each wire format; the in-memory types carry no encoders.
-Formats:
+orjson parses every file.  Any text that nests deeply or holds an escape,
+any text orjson refuses, and any value that fails a reader's check are
+parsed by the standard ``json`` module instead.  So every valid JSON
+spelling loads, including files from earlier versions (``", "``
+separators, a ``residual_bound`` of ``Infinity``), and every rejected file
+raises the ``json`` path's error.  Vectors and sequences are only read: no
+command writes them.  This module is the one owner of each wire format; the
+in-memory types carry no encoders.  Formats:
 
 * matrix: ``{"n": int, "data": [[re, im], ...]}`` with ``n**2`` row-major
   entries;
@@ -26,8 +25,8 @@ Formats:
   "placement": [...]}`` with 1-based positions;
 * sequence: ``{"prefix": [...], "tail": {"kind": ..., ...}}``;
 * truncated projection: a matrix object extended with ``depth``, ``covered``,
-  ``residual_bound`` and ``permutation`` (1-based indices, ``null`` for the
-  slack position).
+  ``residual_bound`` and ``permutation`` (1-based indices up to ``2**53``,
+  ``null`` for the slack position).
 """
 
 from __future__ import annotations
@@ -68,42 +67,6 @@ __all__ = [
 
 class FormatError(ValueError):
     """A file or object does not follow one of the documented formats."""
-
-
-def _read_text(path) -> str:
-    try:
-        return Path(path).read_text()
-    except OSError as exc:
-        raise FormatError(f"cannot read {path}: {exc}") from exc
-
-
-def _parse_json(path, text: str) -> object:
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path} is not valid JSON: {exc}") from exc
-    except RecursionError as exc:
-        raise FormatError(f"{path} nests JSON too deeply") from exc
-
-
-def _read_json(path) -> object:
-    return _parse_json(path, _read_text(path))
-
-
-def _matrix_json(m, fields: dict) -> bytes:
-    """File text of ``{"n": n, "data": [[re, im], ...]}`` (row-major) for the
-    square matrix ``m``, then ``fields``; orjson writes the floats."""
-    import orjson  # only writers pay its import
-
-    m = np.ascontiguousarray(m, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise FormatError(f"expected a square matrix, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise FormatError("matrix entries must be finite; nothing was written")
-    data = orjson.dumps(m.reshape(-1).view(np.float64).reshape(-1, 2),
-                        option=orjson.OPT_SERIALIZE_NUMPY)
-    rest = ", " + json.dumps(fields)[1:] if fields else "}"
-    return b'{"n": %d, "data": %s%s\n' % (m.shape[0], data, rest.encode())
 
 
 def _require(obj, key, kind, context):
@@ -189,7 +152,7 @@ def _nests_shallowly(raw: bytes) -> bool:
 
     orjson recurses once per nesting level with no limit: about 10**5 levels
     (a 200 kB file) overflow an 8 MiB C stack and kill the process, where
-    ``json`` raises RecursionError.  The two formats nest 3 deep.  With no
+    ``json`` raises RecursionError.  Written files nest 3 deep.  With no
     backslash, quotes pair up in order, so a string holds no bracket exactly
     when every quote is next to its partner once all else is deleted.  Each
     round of pair removal then peels one or two levels.
@@ -202,39 +165,65 @@ def _nests_shallowly(raw: bytes) -> bool:
     return not s
 
 
-def _read_checked(path, from_obj, keys: frozenset):
-    """``from_obj`` of the object in the file at ``path``, parsed by orjson.
+def _load(path, from_obj):
+    """``from_obj`` of the JSON value in the file at ``path``, parsed by orjson.
 
-    The ``json`` path decides whenever the text nests deeply, orjson refuses
-    it, ``from_obj`` raises :class:`FormatError`, or the object has a key
-    outside ``keys``: orjson reads ``NaN``, ``Infinity`` and overflowing
-    numbers as errors and integers beyond 64 bits as floats, so only an
-    object whose every value ``from_obj`` checked is sure to equal what
-    ``json`` gives.
+    ``json`` decides whenever the text fails ``_nests_shallowly``, orjson
+    refuses it, or ``from_obj`` raises :class:`FormatError`.  orjson reads
+    ``NaN``, ``Infinity`` and overflowing numbers as errors and integers
+    beyond 64 bits as floats, which no integer check accepts.
     """
-    import orjson  # only matrix and truncation readers pay its import
+    import orjson  # only readers and writers pay its import
 
-    raw = _read_text(path).encode()  # decodes back to the same text
-    if _nests_shallowly(raw):
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise FormatError(f"cannot read {path}: {exc}") from exc
+    if _nests_shallowly(raw := text.encode()):
         try:
-            obj = orjson.loads(raw)
-            if isinstance(obj, dict) and obj.keys() <= keys:
-                return from_obj(obj)
+            return from_obj(orjson.loads(raw))
         except (orjson.JSONDecodeError, FormatError):
             pass
-    return from_obj(_parse_json(path, raw.decode()))
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise FormatError(f"{path} nests JSON too deeply") from exc
+    return from_obj(obj)
 
 
-_MATRIX_KEYS = frozenset({"n", "data"})
-_TRUNCATION_KEYS = _MATRIX_KEYS | {"depth", "covered", "residual_bound", "permutation"}
+def _write(path, obj) -> None:
+    """Write ``obj`` as one line of JSON plus a newline; orjson encodes numpy arrays."""
+    import orjson  # only readers and writers pay its import
+
+    try:
+        raw = orjson.dumps(obj, option=orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_APPEND_NEWLINE)
+    except orjson.JSONEncodeError as exc:  # an integer beyond 64 bits
+        raise FormatError(f"cannot write {path}: {exc}; nothing was written") from exc
+    Path(path).write_bytes(raw)
+
+
+def _matrix_obj(m, **fields) -> dict:
+    """The matrix file's value for the square matrix ``m`` (a float64 view), then ``fields``."""
+    m = np.ascontiguousarray(m, dtype=np.complex128)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise FormatError(f"expected a square matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise FormatError("matrix entries must be finite; nothing was written")
+    return {"n": m.shape[0], "data": m.reshape(-1).view(np.float64).reshape(-1, 2), **fields}
 
 
 def load_matrix(path) -> np.ndarray:
-    return _read_checked(path, _matrix_from_obj, _MATRIX_KEYS)
+    return _load(path, _matrix_from_obj)
 
 
 def load_vector(path) -> np.ndarray:
-    values = _require(_read_json(path), "values", list, "vector")
+    return _load(path, _vector_from_obj)
+
+
+def _vector_from_obj(obj) -> np.ndarray:
+    values = _require(obj, "values", list, "vector")
     if not _all_numbers(values):
         pos = next(pos for pos, x in enumerate(values) if not _is_number(x))
         raise FormatError(f"vector: entry {pos} must be a number")
@@ -242,7 +231,10 @@ def load_vector(path) -> np.ndarray:
 
 
 def load_plan(path) -> TTransformPlan:
-    obj = _read_json(path)
+    return _load(path, _plan_from_obj)
+
+
+def _plan_from_obj(obj) -> TTransformPlan:
     raw = _require(obj, "transforms", list, "plan")
     js, ks, ts = [], [], []
     for pos, entry in enumerate(raw):
@@ -300,7 +292,10 @@ def _tail_from_obj(obj) -> TailRule:
 
 
 def load_sequence_spec(path) -> SequenceSpec:
-    obj = _read_json(path)
+    return _load(path, _spec_from_obj)
+
+
+def _spec_from_obj(obj) -> SequenceSpec:
     prefix = _require(obj, "prefix", list, "sequence")
     for pos, x in enumerate(prefix):
         if not _is_number(x):
@@ -313,7 +308,7 @@ def load_sequence_spec(path) -> SequenceSpec:
 
 
 def load_truncated_projection(path) -> TruncatedProjection:
-    return _read_checked(path, _truncation_from_obj, _TRUNCATION_KEYS)
+    return _load(path, _truncation_from_obj)
 
 
 def _truncation_from_obj(obj) -> TruncatedProjection:
@@ -329,6 +324,8 @@ def _truncation_from_obj(obj) -> TruncatedProjection:
         raise FormatError("truncated projection: permutation length must match n")
     diagonal_map = _one_based(permutation, "truncated projection: permutation", nullable=True)
     covered = _one_based(covered, "truncated projection: covered")
+    if max(chain(covered, filter(None, diagonal_map)), default=0) > 2**53:  # float(i) is exact
+        raise FormatError("truncated projection: an index exceeds 2**53")
     if depth < 1 or not bound >= 0:  # NaN fails too
         raise FormatError("truncated projection: depth must be >= 1 and bound non-negative")
     return TruncatedProjection(
@@ -341,33 +338,29 @@ def _truncation_from_obj(obj) -> TruncatedProjection:
 
 
 def save_matrix(path, m) -> None:
-    Path(path).write_bytes(_matrix_json(m, {}))
+    _write(path, _matrix_obj(m))
 
 
 def save_plan(path, plan: TTransformPlan) -> None:
-    import orjson  # only writers pay its import
-
     ts = np.array(plan.t, dtype=np.float64)
     if not np.isfinite(ts).all():
         raise FormatError("plan weights must be finite; nothing was written")
-    obj = {
+    _write(path, {
         "transforms": [
             {"j": j + 1, "k": k + 1, "t": t} for j, k, t in zip(plan.j, plan.k, ts.tolist())
         ],
         "source_order": [p + 1 for p in plan.source_order],
         "placement": [p + 1 for p in plan.placement],
-    }
-    options = orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_APPEND_NEWLINE
-    Path(path).write_bytes(orjson.dumps(obj, option=options))
+    })
 
 
 def save_truncated_projection(path, t: TruncatedProjection) -> None:
     if not t.residual_bound >= 0:
         raise FormatError("residual bound must be non-negative; nothing was written")
-    fields = {
-        "depth": t.depth,
-        "covered": list(t.covered),
-        "residual_bound": None if t.residual_bound == math.inf else t.residual_bound,
-        "permutation": list(t.diagonal_map),
-    }
-    Path(path).write_bytes(_matrix_json(t.matrix, fields))
+    _write(path, _matrix_obj(
+        t.matrix,
+        depth=t.depth,
+        covered=t.covered,
+        residual_bound=None if t.residual_bound == math.inf else t.residual_bound,
+        permutation=t.diagonal_map,
+    ))

@@ -14,14 +14,12 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
     "MajorizationError",
     "PrefixSumOverflowError",
-    "TTransform",
     "TTransformPlan",
     "as_vector",
     "majorizes",
@@ -118,30 +116,18 @@ def _deviation_sums(v: np.ndarray, pts: np.ndarray) -> np.ndarray:
     return (2 * m - s.size) * pts - 2.0 * below[m] + below[-1]
 
 
-class TTransform(NamedTuple):
-    """Mixing step replacing entries (j, k) by their t-weighted averages.
-
-    Positions are 0-based.  Applied to ``v`` it sets
-    ``v[j] = t*v[j] + (1-t)*v[k]`` and ``v[k] = (1-t)*v[j] + t*v[k]``.
-    A step is a plain record: :func:`decompose_t_transforms` builds only
-    valid ones, and :func:`schurhorn.io.load_plan` checks those it reads.
-    """
-
-    j: int
-    k: int
-    t: float
-
-
 @dataclass(frozen=True)
 class TTransformPlan:
     """Decomposition of a majorisation into at most n-1 T-transforms, as columns.
 
-    Step ``i`` is the :class:`TTransform` ``(j[i], k[i], t[i])``; the plan
-    stores the three columns, not one object per step.  The transforms act
-    on the *frame*: ``y`` sorted non-increasingly, i.e. the vector
-    ``y[source_order]``.  After applying them in order, the frame holds the
-    entries of ``x``; ``placement[c]`` records the frame position holding
-    ``x[c]``.  :func:`replay_t_transform_plan` performs exactly this replay.
+    Step ``i`` mixes frame positions ``j = j[i]`` and ``k = k[i]`` (0-based)
+    with weight ``t = t[i]``: it sets ``v[j] = t*v[j] + (1-t)*v[k]`` and
+    ``v[k] = (1-t)*v[j] + t*v[k]``.  The plan stores the three columns, not
+    one object per step.  The transforms act on the *frame*: ``y`` sorted
+    non-increasingly, i.e. the vector ``y[source_order]``.  After applying
+    them in order, the frame holds the entries of ``x``; ``placement[c]``
+    records the frame position holding ``x[c]``.
+    :func:`replay_t_transform_plan` performs exactly this replay.
     """
 
     j: tuple[int, ...]
@@ -151,9 +137,9 @@ class TTransformPlan:
     placement: tuple[int, ...]
 
     @property
-    def transforms(self) -> tuple[TTransform, ...]:
-        """The steps as :class:`TTransform` records, built on each access."""
-        return tuple(map(TTransform, self.j, self.k, self.t))
+    def transforms(self) -> tuple[tuple[int, int, float], ...]:
+        """The steps as plain ``(j, k, t)`` tuples, built on each access."""
+        return tuple(zip(self.j, self.k, self.t))
 
 
 def replay_t_transform_plan(plan: TTransformPlan, y) -> np.ndarray:

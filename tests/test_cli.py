@@ -78,7 +78,7 @@ def test_majorize_plan_survives_an_overflowing_spread(tmp_path, capsys):
     assert code == 0
     assert pairs["majorizes"] == "true"
     assert float(pairs["replay_error"]) == 0.0
-    assert [tr.t for tr in load_plan(plan_path).transforms] == [0.5]
+    assert [t for _, _, t in load_plan(plan_path).transforms] == [0.5]
 
 
 @pytest.mark.parametrize("decompose", [False, True], ids=["decide", "decompose"])
@@ -297,7 +297,7 @@ def test_obstruction_case_a_build(tmp_path, capsys):
     assert int(pairs["dim"]) == 12
     assert float(pairs["trace"]) == pytest.approx(7.0, abs=1e-9)
     assert pairs["residual_bound"] == "inf"
-    assert '"residual_bound": null' in build.read_text()  # strict JSON: no Infinity
+    assert json.loads(build.read_text())["residual_bound"] is None  # strict JSON: no Infinity
     code = main(["verify", str(build), "--spec", spec])
     assert code == 0
     assert _kv(capsys)["ok"] == "true"
@@ -540,6 +540,22 @@ def test_truncation_bound_must_be_non_negative(tmp_path, capsys, bound, code):
                                 "and bound non-negative\n")
     else:
         assert "ok=true" in captured.out
+
+
+@pytest.mark.parametrize("tail", [INTERLEAVE_SPEC["tail"], INTERLEAVE_SPEC["tail"]["parts"][0]],
+                         ids=["interleave", "low"])
+@pytest.mark.parametrize("index", [2**53 + 1, 10**400], ids=["2**53+1", "10**400"])
+def test_verify_spec_rejects_indices_past_float_precision(tmp_path, capsys, tail, index):
+    truncation = tmp_path / "t.json"
+    truncation.write_text('{"n": 1, "data": [[0.0, 0.0]], "depth": 1, "covered": '
+                          f'[{index}], "residual_bound": 1.0, "permutation": [{index}]}}')
+    spec = write_json(tmp_path / "spec.json", {"prefix": [], "tail": tail})
+    assert main(["verify", str(truncation), "--spec", spec]) == 2
+    assert capsys.readouterr().err == "error: truncated projection: an index exceeds 2**53\n"
+    # 2**53 itself is an index the generators evaluate exactly, so the file loads.
+    truncation.write_text(truncation.read_text().replace(str(index), str(2**53)))
+    assert main(["verify", str(truncation), "--spec", spec]) in (0, 1)
+    assert _kv(capsys)["ok"] in ("true", "false")  # the interleave's is false
 
 
 def test_budget_exhaustion_exits_three(tmp_path, capsys):

@@ -21,6 +21,7 @@ from schurhorn import (
     OneTail,
     SequenceSpec,
     TTransformPlan,
+    TruncatedProjection,
     ZeroTail,
     build_case_a,
     build_case_b,
@@ -60,7 +61,7 @@ def matrix_to_obj(m) -> dict:
 def plan_to_obj(plan) -> dict:
     return {
         "transforms": [
-            {"j": tr.j + 1, "k": tr.k + 1, "t": float(tr.t)} for tr in plan.transforms
+            {"j": j + 1, "k": k + 1, "t": float(t)} for j, k, t in plan.transforms
         ],
         "source_order": [p + 1 for p in plan.source_order],
         "placement": [p + 1 for p in plan.placement],
@@ -125,6 +126,10 @@ def test_writers_refuse_non_finite_entries(tmp_path):
         with pytest.raises(FormatError):
             save_truncated_projection(path, replace(tower, residual_bound=bound))
         assert not path.exists()
+    # A depth beyond 64 bits loads (``json`` keeps the integer), but orjson cannot write it.
+    with pytest.raises(FormatError, match="nothing was written"):
+        save_truncated_projection(path, replace(tower, depth=2**64))
+    assert not path.exists()
     path = tmp_path / "plan.json"
     with pytest.raises(FormatError):
         save_plan(path, TTransformPlan((0,), (1,), (math.nan,), (0, 1), (0, 1)))
@@ -259,6 +264,8 @@ def _same(a, b) -> bool:
         return a == b
     if isinstance(a, np.ndarray):
         return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    if not isinstance(a, TruncatedProjection):  # a plan or a spec: repr tells 2**64 from 2.0**64
+        return type(a) is type(b) and repr(a) == repr(b)
     return (_same(a.matrix, b.matrix) and (a.depth, a.covered, a.diagonal_map)
             == (b.depth, b.covered, b.diagonal_map)
             and np.float64(a.residual_bound).tobytes() == np.float64(b.residual_bound).tobytes())
@@ -268,6 +275,13 @@ _DEEP = "[" * 2_000 + "]" * 2_000
 _ONE = '{"n": 1, "data": [[1.0, 0.0]]'
 _REST = ', "depth": 1, "covered": [1], "residual_bound": 0.5, "permutation": [1]'
 _TOO_DEEP = "{path} nests JSON too deeply"
+_PLAN = '{"transforms": [{"j": 1, "k": 2, "t": 0.5}], "source_order": [1, 2], "placement": [2, 1]}'
+_SPEC = ('{"prefix": [0.5], "tail": {"kind": "divergent-low", "generator": "0.25", '
+         '"certificate": {"kind": "constant", "p": 0.25, "start": 1}}}')
+_GEOMETRIC = '{"kind": "geometric-low", "c": 0.5, "r": 0.5}'
+_NESTED = _GEOMETRIC
+for _ in range(10):
+    _NESTED = '{"kind": "interleave", "parts": [' + _NESTED + ", " + _GEOMETRIC + "]}"
 
 # Texts on which orjson and json disagree, with the message the reader raises
 # (the json-only reader's) or None where the file loads.
@@ -295,12 +309,24 @@ DISAGREEING = {
                                 _ONE + _REST.replace('"depth": 1', f'"depth": {2**64}') + "}",
                                 None),
     "truncation-70-bit-covered": (load_truncated_projection,
-                                  _ONE + _REST.replace("[1]", f"[{2**70}]", 1) + "}", None),
+                                  _ONE + _REST.replace("[1]", f"[{2**70}]", 1) + "}",
+                                  "truncated projection: an index exceeds 2**53"),
     "truncation-infinite-bound": (load_truncated_projection,
                                   _ONE + _REST.replace("0.5", "Infinity") + "}", None),
     "truncation-nan-bound": (load_truncated_projection,
                              _ONE + _REST.replace("0.5", "NaN") + "}",
                              "truncated projection: depth must be >= 1 and bound non-negative"),
+    "vector-nan": (load_vector, '{"values": [0.5, NaN]}', "vector: entries must be finite"),
+    "vector-duplicate-keys": (load_vector, '{"values": [1.0], "values": [0.5, 2.0]}', None),
+    "plan-65-bit-j": (load_plan, _PLAN.replace('"j": 1', f'"j": {2**64}'),
+                      "plan: a position exceeds the frame length 2"),
+    "plan-duplicate-keys": (load_plan, _PLAN.replace('"t": 0.5', '"t": 2.0, "t": 0.25'), None),
+    "spec-65-bit-start": (load_sequence_spec, _SPEC.replace('"start": 1', f'"start": {2**64}'),
+                          None),
+    "spec-escaped-generator": (load_sequence_spec,
+                               _SPEC.replace('"0.25"', '"0.25\\u0020+\\u00200.0"'), None),
+    "spec-ten-nested-interleaves": (load_sequence_spec,
+                                    '{"prefix": [], "tail": ' + _NESTED + "}", None),
 }
 
 
@@ -336,6 +362,26 @@ def test_old_and_new_spellings_load_alike(tmp_path):
         assert ", " in old.read_text().partition('"data": ')[2][:40]
         assert _same(loader(new), loader(old)) and _same(loader(new), loader(indented))
     assert '"residual_bound": Infinity' in old.read_text()
+
+
+def test_package_files_and_plain_inputs_load_without_json(tmp_path, monkeypatch):
+    # orjson reads each of these alone: json.loads is never reached.
+    tower = build_case_a(SequenceSpec((), DivergentLow("0.5", Certificate("constant", 0.5))),
+                         depth=2)
+    plan = decompose_t_transforms([1.0, 2.0, 3.0], [0.0, 2.0, 4.0])
+    t_path, plan_path = tmp_path / "t.json", tmp_path / "plan.json"
+    save_truncated_projection(t_path, tower)
+    save_plan(plan_path, plan)
+    v_path = write_json(tmp_path / "v.json", {"values": [0.25, -1.5, 3.0]})
+    s_path = write_json(tmp_path / "s.json", {"prefix": [0.3, 1.0], "tail": {
+        "kind": "interleave", "parts": [{"kind": "geometric-low", "c": 0.5, "r": 0.5},
+                                        {"kind": "geometric-high", "c": 0.5, "r": 0.5}]}})
+    monkeypatch.setattr("schurhorn.io.json.loads", _refuse)
+    assert _same(load_matrix(t_path), np.asarray(tower.matrix, dtype=np.complex128))
+    assert _same(load_truncated_projection(t_path), tower)
+    assert _same(load_vector(v_path), np.array([0.25, -1.5, 3.0]))
+    assert load_sequence_spec(s_path) == HALF_INTERLEAVE
+    assert load_plan(plan_path) == plan
 
 
 def test_vector_round_trip(tmp_path):
@@ -628,7 +674,7 @@ def test_truncated_projection_infinite_bound_round_trip(tmp_path):
     path = tmp_path / "a.json"
     save_truncated_projection(path, t)
     assert_one_line_of(path, truncated_projection_to_obj(t))
-    assert '"residual_bound": null' in path.read_text()
+    assert json.loads(path.read_text())["residual_bound"] is None
     orjson.loads(path.read_bytes())  # strict JSON: no Infinity literal
     # Files written before the bound was spelled null still load.
     legacy = tmp_path / "legacy.json"

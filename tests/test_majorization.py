@@ -1,5 +1,7 @@
 """Majorisation predicates and T-transform decompositions vs brute force."""
 
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,6 @@ from hypothesis import strategies as st
 from schurhorn import (
     MajorizationError,
     PrefixSumOverflowError,
-    TTransform,
     TTransformPlan,
     decompose_t_transforms,
     majorizes,
@@ -21,6 +22,14 @@ from conftest import (
     random_doubly_stochastic,
     random_majorized_pair,
 )
+
+
+class TTransform(NamedTuple):
+    """One mixing step ``(j, k, t)``, as ``TTransformPlan.transforms`` yields it."""
+
+    j: int
+    k: int
+    t: float
 
 
 def t_transform_matrix(tr: TTransform, n: int) -> np.ndarray:
@@ -100,7 +109,7 @@ def _assert_matches_reference(x, y):
     plan = decompose_t_transforms(x, y)
     assert _plan_bits(plan) == _plan_bits(expected)
     w = np.asarray(y, dtype=float)[list(plan.source_order)]
-    for tr in plan.transforms:
+    for tr in map(TTransform._make, plan.transforms):
         wj, wk = w[tr.j], w[tr.k]
         w[tr.j] = tr.t * wj + (1.0 - tr.t) * wk
         w[tr.k] = (1.0 - tr.t) * wj + tr.t * wk

@@ -195,10 +195,10 @@ def _dense_chain(a, x):
     src = np.eye(n, dtype=np.complex128)[list(plan.source_order)]
     cur = src @ a @ src.conj().T
     total = src
-    for tr in plan.transforms:
+    for j, k, t in plan.transforms:
         v = np.eye(n, dtype=np.complex128)
-        idx = np.ix_([tr.j, tr.k], [tr.j, tr.k])
-        v[idx] = kadison_rotation(cur[idx], tr.t)
+        idx = np.ix_([j, k], [j, k])
+        v[idx] = kadison_rotation(cur[idx], t)
         cur = v @ cur @ v.conj().T
         total = v @ total
     place = np.eye(n, dtype=np.complex128)[list(plan.placement)]
