@@ -165,7 +165,7 @@ class TruncatedProjection:
 
 def _complemented(p: TruncatedProjection) -> TruncatedProjection:
     """``I - P`` with the same bookkeeping: a witness for the complemented sequence."""
-    return replace(p, matrix=np.eye(p.matrix.shape[0], dtype=np.complex128) - p.matrix)
+    return replace(p, matrix=np.eye(p.matrix.shape[0], dtype=p.matrix.dtype) - p.matrix)
 
 
 class _Reader:
@@ -293,7 +293,7 @@ def build_case_b(
         else:
             d = len(rows)
             grow = len(new_rows)
-            bigger = np.zeros((d + grow, d + grow), dtype=np.complex128)
+            bigger = np.zeros((d + grow, d + grow))
             bigger[:d, :d] = matrix
             for offset in range(len(new_low), grow):
                 bigger[d + offset, d + offset] = 1.0
@@ -424,7 +424,7 @@ def build_case_a(
         pool[:] = sorted(window[stop:])
 
     offsets = list(itertools.accumulate(map(len, blocks), initial=0))
-    matrix = np.zeros((offsets[-1], offsets[-1]), dtype=np.complex128)
+    matrix = np.zeros((offsets[-1], offsets[-1]))
     for k, block in enumerate(blocks):
         span = slice(offsets[k], offsets[k + 1])
         matrix[span, span] = carpenter_finite(np.array([value for _, value, _ in block]))
@@ -500,9 +500,8 @@ def projection_increment_norms(projections) -> list[tuple[int, int, float]]:
             dbig = big.matrix.shape[0]
             if dbig < d:
                 raise ValueError("projections must be ordered by depth")
-            embedded = np.zeros((dbig, d), dtype=np.complex128)
-            embedded[:d, :] = small.matrix
-            diff = big.matrix[:, :d] - embedded
+            diff = big.matrix[:, :d].astype(np.result_type(big.matrix, small.matrix))
+            diff[:d] -= small.matrix
             worst = float(np.max(np.sum(np.abs(diff) ** 2, axis=0))) if d else 0.0
             out.append((small.depth, big.depth - small.depth, worst))
     return out

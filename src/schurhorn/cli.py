@@ -124,10 +124,15 @@ def _cmd_majorize(args) -> int:
     y = load_vector(args.y)
     if x.size != y.size:
         raise FormatError(f"vectors differ in length: {x.size} vs {y.size}")
-    ok = majorizes(x, y, args.tol)
+    plan = None
+    if args.decompose:
+        try:  # its first step is the prefix-sum test of majorizes, not run twice
+            plan = decompose_t_transforms(x, y, args.tol)
+        except MajorizationError:
+            pass
+    ok = plan is not None if args.decompose else majorizes(x, y, args.tol)
     pairs = [("n", x.size), ("majorizes", ok)]
-    if ok and args.decompose:
-        plan = decompose_t_transforms(x, y, args.tol)
+    if plan is not None:
         save_plan(args.decompose, plan)
         replay = replay_t_transform_plan(plan, y)
         replay_error = _max_gap(replay, x)

@@ -19,7 +19,9 @@ command writes them.  This module is the one owner of each wire format; the
 in-memory types carry no encoders.  Formats:
 
 * matrix: ``{"n": int, "data": [[re, im], ...]}`` with ``n**2`` row-major
-  entries;
+  entries.  It loads as a ``float64`` array when every ``im`` is ``+0.0``
+  bit for bit, else as ``complex128`` (so a ``-0.0`` survives the round
+  trip); a real matrix is written with ``im`` = ``0.0`` throughout;
 * vector: ``{"values": [float, ...]}``;
 * mixing plan: ``{"transforms": [{"j", "k", "t"}, ...], "source_order": [...],
   "placement": [...]}`` with 1-based positions;
@@ -139,7 +141,10 @@ def _matrix_from_obj(obj) -> np.ndarray:
             or not all(map(_is_number, pair))
         )
         raise FormatError(f"matrix: entry {pos} must be a [re, im] pair")
-    return _finite_floats(flat, len(flat), "matrix").view(np.complex128).reshape(n, n)
+    pairs = _finite_floats(flat, len(flat), "matrix").reshape(-1, 2)
+    if pairs[:, 1].view(np.int64).any():  # some imaginary part is not +0.0, bit for bit
+        return pairs.view(np.complex128).reshape(n, n)
+    return pairs[:, 0].reshape(n, n).copy()  # contiguous, and frees the pairs
 
 
 # Bytes that ``_nests_shallowly`` deletes: all but quotes, backslashes and brackets.

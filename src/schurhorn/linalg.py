@@ -1,9 +1,11 @@
-"""Dense complex matrix helpers and structural checks.
+"""Dense matrix helpers and structural checks.
 
-Matrices are plain numpy arrays with ``complex128`` entries.  Every routine
-treats its inputs as immutable and returns fresh arrays, so callers may pass
-views without worrying about aliasing.  Eigenvalues come from LAPACK
-(``numpy.linalg.eigvalsh``) behind a Hermitian-input check.
+Matrices are plain numpy arrays: ``float64`` when the input is real (bool,
+integer or float entries) and ``complex128`` otherwise, so a real witness is
+checked in real arithmetic.  Every routine treats its inputs as immutable
+and returns fresh arrays, so callers may pass views without worrying about
+aliasing.  Eigenvalues come from LAPACK (``numpy.linalg.eigvalsh``) behind a
+Hermitian-input check.
 """
 
 from __future__ import annotations
@@ -40,8 +42,13 @@ class ConvergenceError(RuntimeError):
 
 
 def as_matrix(a) -> np.ndarray:
-    """Coerce ``a`` to a square complex128 matrix, validating finiteness."""
-    m = np.asarray(a, dtype=np.complex128)
+    """Coerce ``a`` to a square matrix, validating finiteness.
+
+    Real input (bool, integer or float entries) becomes ``float64``, any
+    other input ``complex128``; an array already of that dtype is not copied.
+    """
+    m = np.asarray(a)
+    m = m.astype(np.float64 if m.dtype.kind in "biuf" else np.complex128, copy=False)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
     if m.shape[0] == 0:
@@ -53,7 +60,10 @@ def as_matrix(a) -> np.ndarray:
 
 def hermitian_residual(a) -> float:
     """Max-entry norm of ``A - A*``."""
-    a = as_matrix(a)
+    return _hermitian_gap(as_matrix(a))
+
+
+def _hermitian_gap(a: np.ndarray) -> float:
     return float(np.abs(a - a.conj().T).max())
 
 
@@ -97,7 +107,9 @@ def hermitian_eigenvalues(a) -> np.ndarray:
     :class:`ConvergenceError`.
     """
     a = as_matrix(a)
-    if hermitian_residual(a) > STRUCTURAL_TOL * max(1.0, float(np.abs(a).max())):
+    gap = _hermitian_gap(a)
+    # gap > TOL * max(1, max|A|), with the scan for max|A| only when gap > TOL.
+    if gap > STRUCTURAL_TOL and gap > STRUCTURAL_TOL * float(np.abs(a).max()):
         raise ValueError("hermitian_eigenvalues requires a Hermitian input")
     try:
         return np.linalg.eigvalsh(a)

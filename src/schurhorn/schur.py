@@ -110,15 +110,16 @@ def _rotate(a: np.ndarray, u: np.ndarray | None, j: int, k: int, t: float) -> No
 
     Rows and columns ``(j, k)`` of ``a`` are conjugated by the Kadison
     rotation of their 2x2 block, and rows ``(j, k)`` of ``u`` (when given)
-    are multiplied by it; nothing else is touched, so a step costs O(n).
+    are multiplied by it; nothing else is touched, so a step costs O(n).  The
+    rotation takes the dtype of ``a``: a real block gives a real rotation.
     """
     g00, g01, g10, g11 = _rotation_entries(
         a.item(j, j), a.item(j, k), a.item(k, j), a.item(k, k), t
     )
-    g = np.array([[g00, g01], [g10, g11]], dtype=np.complex128)
     if j > k:
         # Reversing both the pair and the rotation's frame is the same step.
-        j, k, g = k, j, g[::-1, ::-1]
+        j, k, g00, g01, g10, g11 = k, j, g11, g10, g01, g00
+    g = np.array([[g00, g01], [g10, g11]], dtype=a.dtype)
     pair = slice(j, k + 1, k - j)  # rows j and k as a view, no fancy-index copies
     a[pair] = g @ a[pair]
     a[:, pair] = a[:, pair] @ g.conj().T
@@ -169,14 +170,15 @@ def conjugate_to_diagonal(a, x, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarr
     ``A' = V A V*``, ``diag(A') = x`` and the same spectrum as ``A``.  Each
     step of the T-transform decomposition of ``x`` against ``diag(A)`` is
     realised as a 2x2 rotation of two rows and columns, applied in place to a
-    copy of ``A``, so a chain of at most ``n - 1`` steps costs O(n^2).
+    copy of ``A``, so a chain of at most ``n - 1`` steps costs O(n^2).  A real
+    ``A`` gives ``float64`` results, a complex one ``complex128``.
     """
     a = linalg.as_matrix(a)
     if linalg.hermitian_residual(a) > _HERMITIAN_TOL:
         raise ValueError("conjugate_to_diagonal requires a Hermitian input")
     x = as_vector(x)
     cur = a.copy()
-    v = np.eye(a.shape[0], dtype=np.complex128)
+    v = np.eye(a.shape[0], dtype=a.dtype)
     _mix_rows_to(cur, range(a.shape[0]), x, tol, v)
     return cur, v
 
@@ -186,8 +188,8 @@ def carpenter_finite(a, tol: float = INTEGER_TOL) -> np.ndarray:
 
     The diagonal is majorised by the matching 0/1 staircase, so the rotation
     chain of :func:`conjugate_to_diagonal` carries ``diag(1, ..., 1, 0, ..., 0)``
-    to it; only the matrix is formed, not the unitary.  A non-integer sum is
-    infeasible and raises with the defect attached.
+    to it; only the matrix is formed, a ``float64`` one, not the unitary.  A
+    non-integer sum is infeasible and raises with the defect attached.
     """
     v = as_vector(a)
     if v.size and (v.min() < -1e-12 or v.max() > 1.0 + 1e-12):
@@ -200,7 +202,7 @@ def carpenter_finite(a, tol: float = INTEGER_TOL) -> np.ndarray:
         raise InfeasibleDiagonalError(
             f"diagonal sum {s!r} is {defect:.3e} away from an integer", defect=defect
         )
-    target = np.zeros(v.size, dtype=np.complex128)
+    target = np.zeros(v.size)
     target[:m] = 1.0
     p = np.diag(target)
     _mix_rows_to(p, range(v.size), v, max(tol, 1e-9))

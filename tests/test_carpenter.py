@@ -131,6 +131,31 @@ def test_case_b_tower_levels_are_independent_arrays(spec):
         assert p.matrix.tobytes() == q.matrix.tobytes()
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda: build_case_b(HALF_INTERLEAVE, depth=4), id="case-b"),
+        pytest.param(lambda: build_case_b(SequenceSpec((), GeometricHigh(1.0, 0.5)), depth=4),
+                     id="case-b-complemented"),
+        pytest.param(lambda: [build_case_a(SequenceSpec(
+            (), DivergentHigh("0.25", Certificate("constant", 0.25))), depth=3)],
+                     id="case-a-complemented"),
+        pytest.param(lambda: [projection_with_trace(
+            SequenceSpec((0.75, 0.25), GeometricLow(1.0, 0.5)))], id="trace"),
+        pytest.param(lambda: [projection_with_cotrace(
+            SequenceSpec((0.5, 0.5), GeometricHigh(1.0, 0.5)))], id="cotrace"),
+    ],
+)
+def test_builders_return_float64_for_real_terms(build):
+    tower = build()
+    assert all(p.matrix.dtype == np.float64 for p in tower)
+    # The increment norms of a real tower are those of its complex copy, bit for bit.
+    as_complex = [replace(p, matrix=p.matrix.astype(np.complex128)) for p in tower]
+    assert projection_increment_norms(tower) == projection_increment_norms(as_complex)
+    assert projection_increment_norms(tower[:1] + as_complex[1:]) == projection_increment_norms(
+        as_complex)
+
+
 def test_case_b_tower_increment_bounds():
     tower = build_case_b(HALF_INTERLEAVE, depth=8)
     for k, r, norm in projection_increment_norms(tower):
@@ -333,7 +358,7 @@ NESTED_PREFIX = (0.9, 0.1, 0.6)
 def test_case_a_builds_from_real_terms_are_real(spec, alpha, depth):
     # The block repairs rotate real symmetric blocks, so the witness is real.
     t = build_case_a(spec, alpha, depth)
-    assert np.all(t.matrix.imag == 0.0)
+    assert t.matrix.dtype == np.float64
     assert verify_truncation(spec, t).ok
 
 

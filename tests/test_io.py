@@ -25,6 +25,7 @@ from schurhorn import (
     ZeroTail,
     build_case_a,
     build_case_b,
+    carpenter_finite,
     decompose_t_transforms,
     load_matrix,
     load_plan,
@@ -77,6 +78,17 @@ def truncated_projection_to_obj(t) -> dict:
     }
 
 
+def assert_loads_as(got, want) -> None:
+    """``got``, a loaded matrix, holds ``want``'s entries bit for bit when both
+    are read as complex128, and is float64 exactly when every imaginary part
+    of ``want`` is +0.0."""
+    want = np.asarray(want, dtype=np.complex128)
+    real = not (want.imag != 0.0).any() and not np.signbit(want.imag).any()
+    assert got.dtype == (np.float64 if real else np.complex128)
+    assert got.shape == want.shape
+    assert np.asarray(got, dtype=np.complex128).tobytes() == want.tobytes()
+
+
 def assert_one_line_of(path, ref) -> None:
     """``path`` holds one line plus a newline, parsing to the JSON value of ``ref``."""
     text = path.read_text()
@@ -100,9 +112,37 @@ def test_matrix_round_trip(tmp_path):
         path = tmp_path / f"m{pos}.json"
         save_matrix(path, a)
         assert_one_line_of(path, matrix_to_obj(a))
-        back = load_matrix(path)
-        assert back.shape == a.shape
-        assert back.tobytes() == a.tobytes()  # exact: floats survive JSON round trips
+        assert_loads_as(load_matrix(path), a)  # exact: floats survive JSON round trips
+
+
+def test_matrix_loads_as_float64_exactly_when_every_imaginary_part_is_plus_zero(tmp_path):
+    path = tmp_path / "m.json"
+    # Real parts keep their bits, -0.0 included; an integer 0 reads as +0.0.
+    path.write_text('{"n": 2, "data": [[1.5, 0.0], [-0.0, 0], [5e-324, 0.0], [-2.0, 0.0]]}')
+    got = load_matrix(path)
+    assert got.dtype == np.float64 and got.flags.c_contiguous
+    assert got.tobytes() == np.array([[1.5, -0.0], [5e-324, -2.0]]).tobytes()
+    # One -0.0 imaginary part keeps the matrix complex, and the file round-trips exactly.
+    path.write_text('{"n": 2, "data": [[1.5, 0.0], [0.5, -0.0], [0.5, 0.0], [2.0, 0.0]]}')
+    got = load_matrix(path)
+    want = np.array([[1.5, complex(0.5, -0.0)], [0.5, 2.0]])
+    assert got.dtype == np.complex128 and got.tobytes() == want.tobytes()
+    save_matrix(tmp_path / "again.json", got)
+    assert load_matrix(tmp_path / "again.json").tobytes() == want.tobytes()
+
+
+def test_real_witnesses_are_written_as_re_im_pairs(tmp_path):
+    # The wire format holds n**2 [re, im] pairs whatever the dtype in memory.
+    p = carpenter_finite(random_projection_diagonal(np.random.default_rng(6), 5), tol=1e-6)
+    t = build_case_b(SequenceSpec((), HALF_INTERLEAVE.tail), depth=2)[-1]
+    assert p.dtype == t.matrix.dtype == np.float64
+    save_matrix(tmp_path / "p.json", p)
+    save_truncated_projection(tmp_path / "t.json", t)
+    for name, m in (("p.json", p), ("t.json", t.matrix)):
+        data = json.loads((tmp_path / name).read_text())["data"]
+        assert len(data) == m.size and all(type(pair) is list and len(pair) == 2 for pair in data)
+        assert [re for re, _ in data] == m.reshape(-1).tolist()
+        assert all(type(im) is float and im == 0.0 and math.copysign(1.0, im) > 0 for _, im in data)
 
 
 def test_writers_refuse_non_finite_entries(tmp_path):
@@ -117,7 +157,7 @@ def test_writers_refuse_non_finite_entries(tmp_path):
         with pytest.raises(FormatError):
             save_matrix(path, a)
         assert not path.exists()
-        bad = np.array(tower.matrix)
+        bad = np.array(tower.matrix, dtype=np.complex128)  # the tower is real; the entry is not
         bad[-1, 0] = entry
         with pytest.raises(FormatError):
             save_truncated_projection(path, replace(tower, matrix=bad))
@@ -208,9 +248,7 @@ def test_matrix_codec_accepts_what_the_reference_accepts(tmp_path, data):
         with pytest.raises(FormatError):
             load_matrix(path)
         return
-    got = load_matrix(path)
-    assert got.dtype == np.complex128
-    assert got.tobytes() == want.tobytes()
+    assert_loads_as(load_matrix(path), want)
 
 
 HUGE = 10**400  # a JSON integer beyond the float range
@@ -377,7 +415,7 @@ def test_package_files_and_plain_inputs_load_without_json(tmp_path, monkeypatch)
         "kind": "interleave", "parts": [{"kind": "geometric-low", "c": 0.5, "r": 0.5},
                                         {"kind": "geometric-high", "c": 0.5, "r": 0.5}]}})
     monkeypatch.setattr("schurhorn.io.json.loads", _refuse)
-    assert _same(load_matrix(t_path), np.asarray(tower.matrix, dtype=np.complex128))
+    assert _same(load_matrix(t_path), tower.matrix)
     assert _same(load_truncated_projection(t_path), tower)
     assert _same(load_vector(v_path), np.array([0.25, -1.5, 3.0]))
     assert load_sequence_spec(s_path) == HALF_INTERLEAVE
@@ -557,7 +595,7 @@ def test_matrix_writer_round_trips_float_bit_patterns(tmp_path_factory, a):
     save_matrix(path, a)
     assert_one_line_of(path, matrix_to_obj(a))
     orjson.loads(path.read_bytes())
-    assert load_matrix(path).tobytes() == a.tobytes()
+    assert_loads_as(load_matrix(path), a)
 
 
 float_spellings = st.one_of(
@@ -585,9 +623,7 @@ def test_matrix_reader_parses_every_spelling_as_json_does(tmp_path_factory, case
     path = tmp_path_factory.getbasetemp() / "hypothesis_spelling.json"
     path.write_text(text)
     want = np.array([float(json.loads(p)) for p in parts], dtype=np.float64)  # "-0" is 0.0
-    got = load_matrix(path)
-    assert got.shape == (n, n)
-    assert got.reshape(-1).view(np.float64).tobytes() == want.tobytes()
+    assert_loads_as(load_matrix(path), want.view(np.complex128).reshape(n, n))
 
 
 @settings(max_examples=200, deadline=None)
@@ -661,7 +697,7 @@ def test_truncated_projection_round_trip(tmp_path):
         save_truncated_projection(path, t)
         assert_one_line_of(path, truncated_projection_to_obj(t))
         back = load_truncated_projection(path)
-        assert back.matrix.tobytes() == np.asarray(t.matrix, dtype=np.complex128).tobytes()
+        assert_loads_as(back.matrix, t.matrix)
         assert back.depth == t.depth
         assert back.diagonal_map == t.diagonal_map
         assert back.covered == t.covered
@@ -683,7 +719,7 @@ def test_truncated_projection_infinite_bound_round_trip(tmp_path):
     for p in (path, legacy):
         back = load_truncated_projection(p)
         assert back.residual_bound == math.inf
-        assert back.matrix.tobytes() == np.asarray(t.matrix, dtype=np.complex128).tobytes()
+        assert_loads_as(back.matrix, t.matrix)
         assert back.diagonal_map == t.diagonal_map
         assert back.covered == t.covered and back.depth == t.depth
 

@@ -96,6 +96,19 @@ def test_hermitian_check_scales_with_the_entries():
     assert np.all(hermitian_eigenvalues(big + 1e-5 * skew) == [-1e6, 1e6])  # bound 1e-4
     with pytest.raises(ValueError):
         hermitian_eigenvalues(big + 1e-3 * skew)
+    small = 1e-3 * np.eye(2)  # max|A| < 1: the bound is STRUCTURAL_TOL itself
+    assert np.all(hermitian_eigenvalues(small + 5e-11 * skew) == [1e-3, 1e-3])
+    with pytest.raises(ValueError):
+        hermitian_eigenvalues(small + 2e-10 * skew)
+
+
+def test_as_matrix_keeps_real_input_real():
+    for a in ([[1, 0], [0, 1]], np.eye(2, dtype=bool), np.eye(2, dtype=np.float32), np.eye(2)):
+        assert as_matrix(a).dtype == np.float64
+    for a in ([[1j, 0], [0, 1]], np.eye(2, dtype=np.complex64), np.eye(2, dtype=np.complex128)):
+        assert as_matrix(a).dtype == np.complex128
+    m = np.eye(3)
+    assert as_matrix(m) is m  # already float64: no copy
 
 
 def test_lapack_failure_is_a_convergence_error(tmp_path, monkeypatch, capsys):
