@@ -21,7 +21,6 @@ __all__ = [
     "hermitian_residual",
     "unitary_residual",
     "projection_residual",
-    "diagonal",
     "hermitian_eigenvalues",
     "projection_entry_excess",
 ]
@@ -80,21 +79,6 @@ def projection_residual(p) -> float:
     """Larger of the max-entry norms of ``P^2 - P`` and ``P - P*``."""
     p = as_matrix(p)
     return float(max(np.max(np.abs(p @ p - p)), np.max(np.abs(p - p.conj().T))))
-
-
-def diagonal(a) -> np.ndarray:
-    """Real diagonal of a (numerically) Hermitian matrix.
-
-    Raises if any diagonal entry carries imaginary residue above ``STRUCTURAL_TOL``.
-    """
-    a = as_matrix(a)
-    d = a.diagonal()
-    residue = float(np.abs(d.imag).max())  # as_matrix rejects the empty matrix
-    if residue > STRUCTURAL_TOL:
-        raise ValueError(
-            f"diagonal has imaginary residue {residue:.3e} above {STRUCTURAL_TOL:.3e}"
-        )
-    return d.real.copy()
 
 
 def hermitian_eigenvalues(a) -> np.ndarray:

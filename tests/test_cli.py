@@ -527,6 +527,21 @@ def test_memory_error_exits_three(tmp_path, capsys, monkeypatch, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["synth", "carpenter"])
+def test_empty_input_exits_two_and_writes_nothing(tmp_path, capsys, command):
+    empty = write_json(tmp_path / "e.json", {"values": []})
+    out, unitary = tmp_path / "out.json", tmp_path / "u.json"
+    argv = {
+        "synth": ["synth", empty, empty, "--out", str(out), "--unitary", str(unitary)],
+        "carpenter": ["carpenter", empty, "--out", str(out)],
+    }[command]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: matrices must have dimension >= 1\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["e.json"]
+
+
 @pytest.mark.parametrize("bound, code", [("NaN", 2), ("-1.0", 2), ("0.0", 0), ("null", 0)])
 def test_truncation_bound_must_be_non_negative(tmp_path, capsys, bound, code):
     truncation = tmp_path / "t.json"

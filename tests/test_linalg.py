@@ -7,7 +7,6 @@ from schurhorn import (
     ConvergenceError,
     DimensionMismatchError,
     as_matrix,
-    diagonal,
     hermitian_eigenvalues,
     hermitian_residual,
     projection_entry_excess,
@@ -124,15 +123,6 @@ def test_lapack_failure_is_a_convergence_error(tmp_path, monkeypatch, capsys):
     code = main(["verify", str(tmp_path / "a.json"), "--spectrum", str(tmp_path / "y.json")])
     capsys.readouterr()
     assert code == 3
-
-
-def test_diagonal_rejects_imaginary_residue():
-    a = np.array([[1.0 + 0.5j, 0.0], [0.0, 2.0]])
-    with pytest.raises(ValueError):
-        diagonal(a)
-    d = diagonal(np.diag([1.0, 2.0, 3.0]))
-    assert d.dtype == np.float64
-    assert np.all(d == [1.0, 2.0, 3.0])
 
 
 def test_projection_entry_excess_zero_for_projections():
