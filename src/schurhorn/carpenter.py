@@ -12,9 +12,10 @@ integer.  This module classifies sequences accordingly and constructs finite
 truncations of a witnessing projection:
 
 * :func:`build_case_b` (both sums finite): a tower ``P_1, P_2, ...`` of
-  growing projections, each a corner-perturbation of the next, covering more
-  and more indices at their exact diagonal values and satisfying the verified
-  increment bound ``||(P_{k+r} - P_k) e_t||^2 <= 6 / 2**k``.
+  growing projections, each a corner-perturbation of the next, grown as
+  leading corners of one final-size matrix and kept as separate copies,
+  covering more and more indices at their exact diagonal values and
+  satisfying the verified increment bound ``||(P_{k+r} - P_k) e_t||^2 <= 6 / 2**k``.
 * :func:`build_case_a` (divergent): a direct sum of integer-trace blocks whose
   perturbed diagonals are repaired by unitaries acting across neighbouring
   blocks, leaving only the final block's top-up entries off target.
@@ -168,6 +169,24 @@ def _complemented(p: TruncatedProjection) -> TruncatedProjection:
     return replace(p, matrix=np.eye(p.matrix.shape[0], dtype=p.matrix.dtype) - p.matrix)
 
 
+def _checked_report(spec: SequenceSpec, alpha: float, budget: int, report) -> KadisonReport:
+    """``report`` if it was computed at ``alpha`` (else ``ValueError``), or a fresh one."""
+    if report is None:
+        return feasibility(spec, alpha, budget=budget)
+    if report.alpha != alpha:
+        raise ValueError(f"the report is at alpha={report.alpha!r}, not {alpha!r}")
+    return report
+
+
+def _repair(matrix: np.ndarray, rows, targets) -> None:
+    """``_mix_rows_to`` at ``_CHAIN_TOL``.  The construction guarantees its majorisation, so
+    a failed chain is the builder's fault (``RuntimeError``, exit 3), not infeasibility."""
+    try:
+        _mix_rows_to(matrix, rows, targets, _CHAIN_TOL)
+    except MajorizationError as exc:
+        raise RuntimeError("block repair hypotheses failed; construction is inconsistent") from exc
+
+
 class _Reader:
     """The working sequence read once, in index order, and split at ``alpha``.
 
@@ -211,6 +230,8 @@ def build_case_b(
     ``P_{k+1}`` extends ``P_k`` by rotating newly appended exact 0/1 entries
     together with the old slack position, so the old corner moves by at most
     the retired residual mass -- giving ``||(P_{k+r} - P_k) e_t||^2 <= 6/2**k``.
+    All levels' terms are read first; the tower then grows inside one matrix
+    of the final size, and ``P_k`` is a copy of its leading corner at step ``k``.
 
     When only the high side carries infinite mass the construction runs on
     the complemented sequence at ``1 - alpha`` and returns ``I - Q``.
@@ -223,10 +244,7 @@ def build_case_b(
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    if report is None:
-        report = feasibility(spec, alpha, budget=budget)
-    elif report.alpha != alpha:
-        raise ValueError(f"the report is at alpha={report.alpha!r}, not {alpha!r}")
+    report = _checked_report(spec, alpha, budget, report)
     if report.feasibility is Feasibility.CASE_A:
         raise ValueError("the threshold sums diverge; use build_case_a instead")
     if report.feasibility is Feasibility.INFEASIBLE:
@@ -272,46 +290,35 @@ def build_case_b(
                 break
         return pulled, left
 
-    matrix: np.ndarray | None = None
-    rows: list[int | None] = []
-    results: list[TruncatedProjection] = []
-
+    levels = []  # per level: its new low terms, new high terms and slack sigma
     for k in range(1, depth + 1):
         target = 2.0**-k
         new_low, delta = pull(0, lambda left: left >= target)
         new_high, mu = pull(1, lambda left: not (left < delta or (left == 0.0 and delta == 0.0)))
         if mu > delta + snap:
-            raise BudgetExhaustedError(
-                "residual ordering mu < delta unattainable at this depth"
-            )
-        sigma = max(0.0, delta - mu)
+            raise BudgetExhaustedError("residual ordering mu < delta unattainable at this depth")
+        levels.append((new_low, new_high, max(0.0, delta - mu)))
+
+    # Level k is the leading e x e corner of the final matrix: later levels
+    # only write beyond it and into its slack row and column.
+    matrix = np.zeros((1 + sum(len(lo) + len(hi) for lo, hi, _ in levels),) * 2)
+    rows: list[int | None] = []
+    results: list[TruncatedProjection] = []
+    for k, (new_low, new_high, sigma) in enumerate(levels, start=1):
         step_diag = [v for _, v in new_low + new_high] + [sigma]
-        new_rows = [i for i, _ in new_low + new_high]
-        if matrix is None:
-            matrix = carpenter_finite(np.array(step_diag))
-            rows = [*new_rows, None]
+        d = len(rows)
+        rows = rows[:-1] + [i for i, _ in new_low + new_high] + [None]
+        e = len(rows)
+        corner = matrix[:e, :e]
+        if k == 1:
+            corner[...] = carpenter_finite(np.array(step_diag))
         else:
-            d = len(rows)
-            grow = len(new_rows)
-            bigger = np.zeros((d + grow, d + grow))
-            bigger[:d, :d] = matrix
-            for offset in range(len(new_low), grow):
-                bigger[d + offset, d + offset] = 1.0
-            positions = [d - 1, *range(d, d + grow)]
-            _mix_rows_to(bigger, positions, step_diag, _CHAIN_TOL)
-            matrix = bigger
-            rows = rows[:-1] + [*new_rows, None]
-        covered = tuple(sorted(i for i in rows if i is not None))
-        results.append(
-            TruncatedProjection(
-                matrix=matrix,
-                depth=k,
-                diagonal_map=tuple(rows),
-                covered=covered,
-                residual_bound=6.0 * 2.0**-k,
-            )
-        )
-    return [_complemented(p) for p in results] if complemented else results
+            np.fill_diagonal(corner[e - len(new_high) :, e - len(new_high) :], 1.0)
+            _repair(corner, range(d - 1, e), step_diag)
+        level = np.eye(e) - corner if complemented else corner.copy()
+        covered = tuple(sorted(rows[:-1]))  # the slack position is last
+        results.append(TruncatedProjection(level, k, tuple(rows), covered, 6.0 * 2.0**-k))
+    return results
 
 
 def build_case_a(
@@ -353,10 +360,7 @@ def build_case_a(
     """
     if depth < 2:
         raise ValueError("depth must be at least 2")
-    if report is None:
-        report = feasibility(spec, alpha, budget=budget)
-    elif report.alpha != alpha:
-        raise ValueError(f"the report is at alpha={report.alpha!r}, not {alpha!r}")
+    report = _checked_report(spec, alpha, budget, report)
     if report.feasibility is not Feasibility.CASE_A:
         raise ValueError("the threshold sums are summable; use build_case_b instead")
 
@@ -432,12 +436,7 @@ def build_case_a(
     for k in range(len(blocks) - 1):
         # Block k's pushed-up tail ends where block k + 1's pushed-down head starts.
         rows = range(offsets[k + 1] - spans[k][1], offsets[k + 1] + spans[k + 1][0])
-        try:
-            _mix_rows_to(matrix, rows, [exact[p] for p in rows], _CHAIN_TOL)
-        except MajorizationError as exc:
-            raise RuntimeError(
-                "block repair hypotheses failed; construction is inconsistent"
-            ) from exc
+        _repair(matrix, rows, [exact[p] for p in rows])
 
     diagonal_map = [idx for block in blocks for idx, _, _ in block]
     covered = tuple(sorted(diagonal_map[: offsets[-1] - spans[-1][1]]))  # all but the last tail

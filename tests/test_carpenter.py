@@ -131,6 +131,26 @@ def test_case_b_tower_levels_are_independent_arrays(spec):
         assert p.matrix.tobytes() == q.matrix.tobytes()
 
 
+@pytest.mark.parametrize("alpha", [0.5, 0.3])
+@pytest.mark.parametrize(
+    "spec, depth",
+    [
+        (HALF_INTERLEAVE, 30),
+        (SequenceSpec((), GeometricHigh(1.0, 0.5)), 12),
+        (SequenceSpec((0.9, 0.1), ZeroTail()), 6),
+    ],
+    ids=["interleave", "complemented", "zero-tail"],
+)
+def test_case_b_levels_are_leading_corners_of_the_deepest(spec, depth, alpha):
+    # Later levels rotate only a level's slack row and column and what lies
+    # beyond it, so the rest of each level is the deepest level's corner, bit for bit.
+    tower = build_case_b(spec, alpha, depth)
+    deepest = tower[-1].matrix
+    for p in tower:
+        d = p.matrix.shape[0] - 1
+        assert p.matrix[:d, :d].tobytes() == deepest[:d, :d].tobytes()
+
+
 @pytest.mark.parametrize(
     "build",
     [

@@ -182,6 +182,15 @@ def test_majorize_false_exits_one(tmp_path, capsys):
     assert pairs["majorizes"] == "false"
 
 
+def test_majorize_decompose_not_majorised_exits_one_and_writes_no_plan(tmp_path, capsys):
+    x = write_json(tmp_path / "x.json", {"values": [3.0, 0.0, 0.0]})
+    y = write_json(tmp_path / "y.json", {"values": [1.0, 1.0, 1.0]})
+    plan = tmp_path / "plan.json"
+    assert main(["majorize", x, y, "--decompose", str(plan)]) == 1
+    assert _kv(capsys)["majorizes"] == "false"
+    assert not plan.exists()
+
+
 def test_majorize_length_mismatch_exits_two(tmp_path, capsys):
     x = write_json(tmp_path / "x.json", {"values": [1.0]})
     y = write_json(tmp_path / "y.json", {"values": [0.5, 0.5]})
@@ -328,12 +337,21 @@ def test_obstruction_build_computes_feasibility_once(tmp_path, capsys, monkeypat
     assert len(calls) == 1
 
 
-def test_failed_case_a_repair_exits_three_and_writes_nothing(tmp_path, capsys, monkeypatch):
+HIGH_ONLY_SPEC = {"prefix": [], "tail": {"kind": "geometric-high", "c": 1.0, "r": 0.5}}
+
+
+@pytest.mark.parametrize("spec_obj", [CONSTANT_HALF_SPEC, INTERLEAVE_SPEC, HIGH_ONLY_SPEC],
+                         ids=["case-a", "case-b", "case-b-complemented"])
+def test_failed_repair_chain_exits_three_and_writes_nothing(
+    tmp_path, capsys, monkeypatch, spec_obj
+):
+    # Every sequence here is feasible, so a failed chain is the builder's
+    # fault (exit 3), never an infeasible input (exit 1).
     def fail(*args):
         raise MajorizationError("x is not majorised by y")
 
     monkeypatch.setattr(carpenter, "_mix_rows_to", fail)
-    spec = write_json(tmp_path / "spec.json", CONSTANT_HALF_SPEC)
+    spec = write_json(tmp_path / "spec.json", spec_obj)
     out = tmp_path / "block.json"
     assert main(["obstruction", spec, "--build", str(out)]) == 3
     assert "block repair hypotheses failed" in capsys.readouterr().err
@@ -411,6 +429,19 @@ def test_verify_failure_exits_one(tmp_path, capsys):
     pairs = _kv(capsys)
     assert pairs["diagonal_error"] == "inf"
     assert pairs["ok"] == "false"
+
+
+@pytest.mark.parametrize("option", ["--diagonal", "--spectrum"])
+def test_verify_vector_length_mismatch_exits_two(tmp_path, capsys, option):
+    d = write_json(tmp_path / "d.json", {"values": [0.5, 0.5]})
+    out = tmp_path / "p.json"
+    assert main(["carpenter", d, "--out", str(out)]) == 0
+    capsys.readouterr()
+    d3 = write_json(tmp_path / "d3.json", {"values": [1.0, 0.5, 0.5]})
+    assert main(["verify", str(out), option, d3]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"{option[2:]} length 3 does not match n=2" in err
 
 
 def test_verify_spec_rejects_diagonal_and_spectrum(tmp_path, capsys):
