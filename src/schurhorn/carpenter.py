@@ -12,8 +12,8 @@ integer.  This module classifies sequences accordingly and constructs finite
 truncations of a witnessing projection:
 
 * :func:`build_case_b` (both sums finite): a tower ``P_1, P_2, ...`` of
-  growing projections, each a corner-perturbation of the next, grown as
-  leading corners of one final-size matrix and kept as separate copies,
+  growing projections, each a corner-perturbation of the next, kept as one
+  final-size matrix plus each level's slack row and column (formed on read),
   covering more and more indices at their exact diagonal values and
   satisfying the verified increment bound ``||(P_{k+r} - P_k) e_t||^2 <= 6 / 2**k``.
 * :func:`build_case_a` (divergent): a direct sum of integer-trace blocks whose
@@ -27,6 +27,7 @@ import enum
 import itertools
 import math
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -213,6 +214,34 @@ class _Reader:
         return queue.popleft()
 
 
+class _Tower(Sequence):
+    """Read-only tower ``P_1, ..., P_D`` held as its final matrix.
+
+    Level ``k`` is that matrix's leading corner with the slack row and column
+    it had after step ``k``; each read forms it as a fresh array.
+    """
+
+    def __init__(self, matrix, diagonal_map, slack, complemented: bool):
+        self._matrix, self._map, self._slack = matrix, diagonal_map, slack
+        self._complemented = complemented
+
+    def __len__(self) -> int:
+        return len(self._slack)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return [self[k] for k in range(len(self))[key]]
+        k = range(1, len(self) + 1)[key]  # the depth; IndexError past either end
+        row, col = self._slack[k - 1]
+        matrix = self._matrix[: row.size, : row.size].copy()
+        matrix[-1], matrix[:, -1] = row, col
+        placed = self._map[: row.size - 1]  # the slack position is last
+        level = TruncatedProjection(
+            matrix, k, (*placed, None), tuple(sorted(placed)), 6.0 * 2.0**-k
+        )
+        return _complemented(level) if self._complemented else level
+
+
 def build_case_b(
     spec: SequenceSpec,
     alpha: float = 0.5,
@@ -220,7 +249,7 @@ def build_case_b(
     *,
     budget: int = 100_000,
     report: KadisonReport | None = None,
-) -> list[TruncatedProjection]:
+) -> Sequence[TruncatedProjection]:
     """Tower ``P_1, ..., P_depth`` of projections for a summable-defect sequence.
 
     Step ``k`` covers enough low indices to push the uncovered low mass
@@ -231,7 +260,8 @@ def build_case_b(
     together with the old slack position, so the old corner moves by at most
     the retired residual mass -- giving ``||(P_{k+r} - P_k) e_t||^2 <= 6/2**k``.
     All levels' terms are read first; the tower then grows inside one matrix
-    of the final size, and ``P_k`` is a copy of its leading corner at step ``k``.
+    of the final size, kept with each level's slack row and column after its
+    step; reading ``P_k`` forms a fresh copy of its leading corner with them.
 
     When only the high side carries infinite mass the construction runs on
     the complemented sequence at ``1 - alpha`` and returns ``I - Q``.
@@ -300,25 +330,21 @@ def build_case_b(
         levels.append((new_low, new_high, max(0.0, delta - mu)))
 
     # Level k is the leading e x e corner of the final matrix: later levels
-    # only write beyond it and into its slack row and column.
-    matrix = np.zeros((1 + sum(len(lo) + len(hi) for lo, hi, _ in levels),) * 2)
-    rows: list[int | None] = []
-    results: list[TruncatedProjection] = []
+    # only write beyond it and into its slack row and column, so keep those.
+    positions = [i for new_low, new_high, _ in levels for i, _ in new_low + new_high]
+    matrix = np.zeros((len(positions) + 1,) * 2)
+    slack, e = [], 1  # each level's slack row and column; the dimension e_k
     for k, (new_low, new_high, sigma) in enumerate(levels, start=1):
         step_diag = [v for _, v in new_low + new_high] + [sigma]
-        d = len(rows)
-        rows = rows[:-1] + [i for i, _ in new_low + new_high] + [None]
-        e = len(rows)
+        d, e = e, e + len(new_low) + len(new_high)
         corner = matrix[:e, :e]
         if k == 1:
             corner[...] = carpenter_finite(np.array(step_diag))
         else:
             np.fill_diagonal(corner[e - len(new_high) :, e - len(new_high) :], 1.0)
             _repair(corner, range(d - 1, e), step_diag)
-        level = np.eye(e) - corner if complemented else corner.copy()
-        covered = tuple(sorted(rows[:-1]))  # the slack position is last
-        results.append(TruncatedProjection(level, k, tuple(rows), covered, 6.0 * 2.0**-k))
-    return results
+        slack.append((corner[-1].copy(), corner[:, -1].copy()))
+    return _Tower(matrix, (*positions, None), slack, complemented)
 
 
 def build_case_a(
@@ -488,13 +514,11 @@ def projection_increment_norms(projections) -> list[tuple[int, int, float]]:
 
     For each pair ``(P_k, P_{k+r})`` (the first embedded as the leading
     corner), returns ``(k, r, max_t ||(P_{k+r} - P_k) e_t||^2)`` over the
-    smaller dimension's basis vectors.
+    smaller dimension's basis vectors.  ``projections`` is read once.
     """
-    out = []
-    for a in range(len(projections)):
-        for b in range(a + 1, len(projections)):
-            small = projections[a]
-            big = projections[b]
+    projections, out = list(projections), []
+    for a, small in enumerate(projections):
+        for big in projections[a + 1 :]:
             d = small.matrix.shape[0]
             dbig = big.matrix.shape[0]
             if dbig < d:

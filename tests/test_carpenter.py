@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -129,6 +130,42 @@ def test_case_b_tower_levels_are_independent_arrays(spec):
     deeper = build_case_b(spec, depth=8)
     for p, q in zip(tower, deeper):
         assert p.matrix.tobytes() == q.matrix.tobytes()
+
+    def key(p):
+        return p.matrix.tobytes(), p.depth, p.diagonal_map, p.covered, p.residual_bound
+
+    # Each read forms a fresh array, and writing into it changes no later read.
+    levels = list(tower)
+    for k in [*range(len(tower)), -1]:
+        first, second = tower[k], tower[k]
+        assert key(first) == key(second) and not np.shares_memory(first.matrix, second.matrix)
+        first.matrix[...] = np.nan
+    assert [key(p) for p in tower] == [key(p) for p in levels]
+    # The tower reads as the list of its levels.
+    assert len(tower) == len(levels) == 6
+    for k in [-6, -2, -1]:
+        assert key(tower[k]) == key(levels[k])
+    for s in [slice(None), slice(1, 4), slice(-3, None), slice(None, None, -2), slice(9, 12)]:
+        assert [key(p) for p in tower[s]] == [key(p) for p in levels[s]]
+    assert [key(p) for p in reversed(tower)] == [key(p) for p in reversed(levels)]
+    for k in [6, -7]:
+        with pytest.raises(IndexError):
+            levels[k]
+        with pytest.raises(IndexError):
+            tower[k]
+
+
+def test_case_b_deepest_read_peaks_near_the_final_matrix():
+    # The tower keeps one final matrix and each level's slack row and column,
+    # so building it and reading its deepest level peaks near two such matrices.
+    tracemalloc.start()
+    try:
+        deepest = build_case_b(HALF_INTERLEAVE, depth=200)[-1]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert deepest.matrix.shape == (402, 402)
+    assert peak < 4 * deepest.matrix.nbytes, (peak, deepest.matrix.nbytes)
 
 
 @pytest.mark.parametrize("alpha", [0.5, 0.3])
