@@ -18,10 +18,12 @@ raises the ``json`` path's error.  Vectors and sequences are only read: no
 command writes them.  This module is the one owner of each wire format; the
 in-memory types carry no encoders.  Formats:
 
-* matrix: ``{"n": int, "data": [[re, im], ...]}`` with ``n**2`` row-major
-  entries.  It loads as a ``float64`` array when every ``im`` is ``+0.0``
-  bit for bit, else as ``complex128`` (so a ``-0.0`` survives the round
-  trip); a real matrix is written with ``im`` = ``0.0`` throughout;
+* matrix: ``{"n": int, "data": [[re, im, re, im, ...], ...]}`` with ``n``
+  rows of ``2n`` numbers, entry (i, j) at ``data[i][2j : 2j + 2]``; files
+  from earlier versions, with ``n**2`` row-major ``[re, im]`` pairs, still
+  load.  It loads as a ``float64`` array when every ``im`` is ``+0.0`` bit
+  for bit, else as ``complex128`` (so a ``-0.0`` survives the round trip);
+  a real matrix is written with ``im`` = ``0.0`` throughout;
 * vector: ``{"values": [float, ...]}``;
 * mixing plan: ``{"transforms": [{"j", "k", "t"}, ...], "source_order": [...],
   "placement": [...]}`` with 1-based positions;
@@ -126,22 +128,24 @@ def _finite_floats(values, count: int, context: str) -> np.ndarray:
 def _matrix_from_obj(obj) -> np.ndarray:
     n = _require(obj, "n", int, "matrix")
     data = _require(obj, "data", list, "matrix")
-    if n < 0 or len(data) != n * n:
+    if n < 0 or len(data) not in (n, n * n):
         raise FormatError(f"matrix: expected {n * n} entries, got {len(data)}")
+    width = 2 if len(data) == n * n else 2 * n  # earlier files: one [re, im] pair per entry
     if not (
         all(issubclass(k, (list, tuple)) for k in set(map(type, data)))
-        and set(map(len, data)) <= {2}
-        and _all_numbers(flat := list(chain.from_iterable(data)))
+        and set(map(len, data)) <= {width}
+        and _all_numbers(chain.from_iterable(data))
     ):
         pos = next(
             pos
-            for pos, pair in enumerate(data)
-            if not isinstance(pair, (list, tuple))
-            or len(pair) != 2
-            or not all(map(_is_number, pair))
+            for pos, row in enumerate(data)
+            if not isinstance(row, (list, tuple))
+            or len(row) != width
+            or not all(map(_is_number, row))
         )
-        raise FormatError(f"matrix: entry {pos} must be a [re, im] pair")
-    pairs = _finite_floats(flat, len(flat), "matrix").reshape(-1, 2)
+        raise FormatError(f"matrix: entry {pos} must be a [re, im] pair" if width == 2
+                          else f"matrix: row {pos} must be {width} numbers")
+    pairs = _finite_floats(chain.from_iterable(data), 2 * n * n, "matrix").reshape(-1, 2)
     if pairs[:, 1].view(np.int64).any():  # some imaginary part is not +0.0, bit for bit
         return pairs.view(np.complex128).reshape(n, n)
     return pairs[:, 0].reshape(n, n).copy()  # contiguous, and frees the pairs
@@ -181,16 +185,16 @@ def _load(path, from_obj):
     import orjson  # only readers and writers pay its import
 
     try:
-        text = Path(path).read_text()
+        raw = Path(path).read_bytes()
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
-    if _nests_shallowly(raw := text.encode()):
+    if _nests_shallowly(raw):
         try:
             return from_obj(orjson.loads(raw))
         except (orjson.JSONDecodeError, FormatError):
             pass
     try:
-        obj = json.loads(text)
+        obj = json.loads(raw.decode())  # strict UTF-8: bytes would let json skip a BOM
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path} is not valid JSON: {exc}") from exc
     except RecursionError as exc:
@@ -216,7 +220,7 @@ def _matrix_obj(m, **fields) -> dict:
         raise FormatError(f"expected a square matrix, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise FormatError("matrix entries must be finite; nothing was written")
-    return {"n": m.shape[0], "data": m.reshape(-1).view(np.float64).reshape(-1, 2), **fields}
+    return {"n": m.shape[0], "data": m.view(np.float64), **fields}
 
 
 def load_matrix(path) -> np.ndarray:

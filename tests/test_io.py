@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -54,9 +55,17 @@ HALF_INTERLEAVE = SequenceSpec(
 # Reference encoders: a matrix, plan or truncated-projection file is one line
 # of JSON that parses to the same value as ``json.dumps`` of one of these.
 def matrix_to_obj(m) -> dict:
+    """Row i of ``data`` is re a_i1, im a_i1, ..., re a_in, im a_in."""
     m = np.asarray(m, dtype=np.complex128)
-    flat = m.reshape(-1)
-    return {"n": int(m.shape[0]), "data": np.stack((flat.real, flat.imag), 1).tolist()}
+    return {"n": int(m.shape[0]), "data": [
+        [part for z in row for part in (z.real, z.imag)] for row in m.tolist()
+    ]}
+
+
+def matrix_to_pairs_obj(m) -> dict:
+    """The layout earlier versions wrote: ``n**2`` row-major [re, im] pairs."""
+    m = np.asarray(m, dtype=np.complex128)
+    return {"n": int(m.shape[0]), "data": [[z.real, z.imag] for z in m.reshape(-1).tolist()]}
 
 
 def plan_to_obj(plan) -> dict:
@@ -69,8 +78,8 @@ def plan_to_obj(plan) -> dict:
     }
 
 
-def truncated_projection_to_obj(t) -> dict:
-    return matrix_to_obj(t.matrix) | {
+def truncated_projection_to_obj(t, encode=matrix_to_obj) -> dict:
+    return encode(t.matrix) | {
         "depth": t.depth,
         "covered": list(t.covered),
         "residual_bound": None if t.residual_bound == math.inf else t.residual_bound,
@@ -131,8 +140,9 @@ def test_matrix_loads_as_float64_exactly_when_every_imaginary_part_is_plus_zero(
     assert load_matrix(tmp_path / "again.json").tobytes() == want.tobytes()
 
 
-def test_real_witnesses_are_written_as_re_im_pairs(tmp_path):
-    # The wire format holds n**2 [re, im] pairs whatever the dtype in memory.
+def test_real_witnesses_are_written_as_rows_of_re_im_numbers(tmp_path):
+    # The wire format holds n rows of 2n numbers, re and im interleaved, whatever
+    # the dtype in memory: even slots hold the matrix row, odd slots +0.0.
     p = carpenter_finite(random_projection_diagonal(np.random.default_rng(6), 5), tol=1e-6)
     t = build_case_b(SequenceSpec((), HALF_INTERLEAVE.tail), depth=2)[-1]
     assert p.dtype == t.matrix.dtype == np.float64
@@ -140,9 +150,28 @@ def test_real_witnesses_are_written_as_re_im_pairs(tmp_path):
     save_truncated_projection(tmp_path / "t.json", t)
     for name, m in (("p.json", p), ("t.json", t.matrix)):
         data = json.loads((tmp_path / name).read_text())["data"]
-        assert len(data) == m.size and all(type(pair) is list and len(pair) == 2 for pair in data)
-        assert [re for re, _ in data] == m.reshape(-1).tolist()
-        assert all(type(im) is float and im == 0.0 and math.copysign(1.0, im) > 0 for _, im in data)
+        n = m.shape[0]
+        assert n > 1 and len(data) == n
+        assert all(type(row) is list and len(row) == 2 * n for row in data)
+        assert [row[::2] for row in data] == m.tolist()
+        assert all(type(im) is float and im == 0.0 and math.copysign(1.0, im) > 0
+                   for row in data for im in row[1::2])
+
+
+def test_matrix_load_peaks_below_twenty_times_the_matrix(tmp_path):
+    # A file holds one list per row: a list per entry would add about 9x the matrix's bytes.
+    a = np.random.default_rng(256).standard_normal((256, 256))
+    path = tmp_path / "m.json"
+    save_matrix(path, a)
+    load_matrix(path)  # imports and caches are not the load's cost
+    tracemalloc.start()
+    try:
+        got = load_matrix(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.tobytes() == a.tobytes()
+    assert peak < 20 * got.nbytes, f"peak {peak / got.nbytes:.1f}x the matrix"
 
 
 def test_writers_refuse_non_finite_entries(tmp_path):
@@ -190,10 +219,15 @@ def test_matrix_malformed(tmp_path):
 
 
 def _reference_matrix_from_obj(obj):
-    """Entry-by-entry decoder: the accept/reject rules the matrix codec keeps."""
+    """Entry-by-entry decoder: the accept/reject rules the matrix codec keeps.
+    ``data`` holds n rows of 2n numbers, or n**2 [re, im] pairs as earlier files do."""
     n, data = obj["n"], obj["data"]
-    if len(data) != n * n:
+    if len(data) not in (n, n * n):
         raise FormatError("count")
+    if len(data) != n * n:  # rows: each splits into n [re, im] pairs
+        if not all(isinstance(row, (list, tuple)) and len(row) == 2 * n for row in data):
+            raise FormatError("row")
+        data = [row[2 * j:2 * j + 2] for row in data for j in range(n)]
     flat = np.empty(n * n, dtype=np.complex128)
     for pos, pair in enumerate(data):
         if (
@@ -234,14 +268,42 @@ MATRIX_CASES = [
     [np.int64(1), 0.0],
     [[np.int64(1), 0.0]],
 ]
+_ZEROS = [0.0] * 4
+# n = 2: rows of 2n numbers (written files) and n**2 [re, im] pairs (earlier files).
+MATRIX_CASES_2 = [
+    [[1.5, 0.0, 0.25, -0.0], [0.25, 0.0, -2.0, 0.0]],
+    [(1, 0.5, 2, 3), [0, -1, 5e-324, 0.0]],
+    [[1.5, 0.0], [0.25, -0.0], [0.25, 0.0], [-2.0, 0.0]],
+    [[1, 2], (3, 4), [5, 6], [7.5, 0]],
+    [[1.0, 0.0], [2.0, 0.0]],  # pairs under n rows
+    [[1.0, 0.0, 2.0, 0.0]] * 4,  # rows under n**2 entries
+    [[1.0, 0.0, 2.0, 0.0], [1.0, 0.0, 2.0]],
+    [[1.0, 0.0, 2.0, 0.0, 3.0, 0.0], [1.0, 0.0]],
+    [[1.0, 0.0, 2.0, 0.0], []],
+    [[1.0, 0.0, True, 0.0], _ZEROS],
+    [_ZEROS, [1.0, "0.0", 2.0, 0.0]],
+    [[1.0, 0.0, 2.0, None], _ZEROS],
+    [[[1.0], 0.0, 2.0, 0.0], _ZEROS],
+    [{"re": 1.0, "im": 0.0}, _ZEROS],
+    [[10**400, 0, 0, 0], _ZEROS],
+    [_ZEROS, [0.0, 0.0, 0.0, math.inf]],
+    [[1.0, 0.0], [2.0, 0.0], [3.0, 0.0], [4.0, True]],
+    [_ZEROS] * 3,
+    [_ZEROS],
+    [[0.0, 0.0]] * 5,
+    [],
+]
+# Explicit ids keep the n = 1 cases' earlier names.
+_MATRIX_PARAMS = [(1, data) for data in MATRIX_CASES] + [(2, data) for data in MATRIX_CASES_2]
 
 
-@pytest.mark.parametrize("data", MATRIX_CASES)
-def test_matrix_codec_accepts_what_the_reference_accepts(tmp_path, data):
+@pytest.mark.parametrize("n,data", _MATRIX_PARAMS,
+                         ids=[f"data{pos}" for pos in range(len(_MATRIX_PARAMS))])
+def test_matrix_codec_accepts_what_the_reference_accepts(tmp_path, n, data):
     # A file holds lists and plain numbers, so a tuple or numpy scalar is
     # written as the list or number it holds; the reference reads the file too.
     path = tmp_path / "m.json"
-    path.write_text(json.dumps({"n": 1, "data": data}, default=lambda v: v.item()))
+    path.write_text(json.dumps({"n": n, "data": data}, default=lambda v: v.item()))
     try:
         want = _reference_matrix_from_obj(json.loads(path.read_text()))
     except FormatError:
@@ -381,16 +443,18 @@ def test_reader_falls_back_to_json_where_orjson_disagrees(tmp_path, loader, text
 
 
 def test_old_and_new_spellings_load_alike(tmp_path):
-    # Earlier writers put ", " between all items and spelled no bound Infinity.
+    # Earlier writers put ", " between all items, wrote n**2 [re, im] pairs
+    # and spelled no bound Infinity.
     rng = np.random.default_rng(417)
     a = random_hermitian(rng, 7)
     spec = SequenceSpec((), Interleave(GeometricLow(0.5, 0.5), GeometricHigh(0.5, 0.5)))
     towers = [*build_case_b(spec, depth=2),
               build_case_a(SequenceSpec((), DivergentLow("0.5", Certificate("constant", 0.5))),
                            depth=2)]
-    cases = [(load_matrix, save_matrix, a, matrix_to_obj(a))]
+    cases = [(load_matrix, save_matrix, a, matrix_to_pairs_obj(a))]
     cases += [(load_truncated_projection, save_truncated_projection, t,
-               truncated_projection_to_obj(t) | {"residual_bound": t.residual_bound})
+               truncated_projection_to_obj(t, matrix_to_pairs_obj)
+               | {"residual_bound": t.residual_bound})
               for t in towers]
     for loader, saver, value, old_obj in cases:
         new, old, indented = tmp_path / "new.json", tmp_path / "old.json", tmp_path / "i.json"
@@ -714,7 +778,8 @@ def test_truncated_projection_infinite_bound_round_trip(tmp_path):
     orjson.loads(path.read_bytes())  # strict JSON: no Infinity literal
     # Files written before the bound was spelled null still load.
     legacy = tmp_path / "legacy.json"
-    legacy.write_text(json.dumps(truncated_projection_to_obj(t) | {"residual_bound": math.inf}))
+    legacy.write_text(json.dumps(truncated_projection_to_obj(t, matrix_to_pairs_obj)
+                                 | {"residual_bound": math.inf}))
     assert '"residual_bound": Infinity' in legacy.read_text()
     for p in (path, legacy):
         back = load_truncated_projection(p)
